@@ -1,4 +1,4 @@
-"""ULA geometry, array factor, directivity gain, pattern sampling, band power.
+"""ULA geometry, the gain kernel, pattern sampling, band power.
 
 Convention: the array factor is the plain inner product v . a(s) with the
 weights applied unconjugated, a(s)_m = exp(-1j*m*kd*s).  Many antenna texts
@@ -8,25 +8,28 @@ exp(+1j*m*kd*s0) moves the beam to s0.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import adaptive_simpson
-
 __all__ = [
     "ArrayConfig",
     "PatternSample",
     "steering_vector",
+    "phasors",
     "array_factor",
     "directivity_gain",
+    "gain_function",
     "sample_pattern",
+    "sinc",
     "band_power",
     "angle_to_phase",
     "phase_to_angle",
     "pattern_nulls",
     "default_grid",
+    "format_float",
     "write_pattern_csv",
     "PATTERN_CSV_HEADER",
 ]
@@ -86,21 +89,54 @@ def _check_weights(v, cfg: ArrayConfig) -> np.ndarray:
     return w
 
 
+def phasors(cfg: ArrayConfig, s) -> np.ndarray:
+    """z = exp(-1j*kd*s), the variable in which the array factor is a polynomial."""
+    s = np.asarray(s, dtype=float)
+    z = np.empty(s.shape, dtype=complex)
+    np.multiply(s, -cfg.kd, out=z.real)
+    np.sin(z.real, out=z.imag)
+    np.cos(z.real, out=z.real)
+    return z
+
+
 def array_factor(v, cfg: ArrayConfig, s):
-    """Far-field sum v . a(s).  Accepts a scalar phase or an array of phases."""
+    """Far-field sum v . a(s) by Horner's rule in z = exp(-1j*kd*s): one
+    complex exponential per phase, then M-1 multiply-adds.
+
+    Accepts a scalar phase or an array of phases, or their complex
+    :func:`phasors`, which calls on the same phases can then share.
+    """
     w = _check_weights(v, cfg)
-    s_arr = np.asarray(s, dtype=float)
-    phases = np.exp(-1j * cfg.kd * np.multiply.outer(s_arr, np.arange(cfg.elements)))
-    out = phases @ w
-    return complex(out) if s_arr.ndim == 0 else out
+    z = np.asarray(s) if np.iscomplexobj(s) else phasors(cfg, s)
+    af = np.full(z.shape, w[-1], dtype=complex)
+    for c in w[-2::-1]:
+        af *= z
+        af += c
+    return complex(af) if af.ndim == 0 else af
 
 
 def directivity_gain(v, cfg: ArrayConfig, s):
-    """|array factor|^2; scalar in, scalar out."""
+    """|array factor|^2, nonnegative by construction; scalar in, scalar out."""
     af = array_factor(v, cfg, s)
-    if isinstance(af, complex):
+    gain = af.real * af.real
+    gain += af.imag * af.imag
+    return gain
+
+
+def gain_function(v, cfg: ArrayConfig):
+    """Scalar s -> |array factor|^2 by the same Horner rule on Python complex
+    numbers, for quadrature integrands evaluated one phase at a time."""
+    coefficients = [complex(c) for c in _check_weights(v, cfg)[::-1]]
+    kd = cfg.kd
+
+    def gain(s: float) -> float:
+        z = cmath.exp(-1j * kd * s)
+        af = 0j
+        for c in coefficients:
+            af = af * z + c
         return af.real * af.real + af.imag * af.imag
-    return af.real * af.real + af.imag * af.imag
+
+    return gain
 
 
 def sample_pattern(v, cfg: ArrayConfig, grid) -> list[PatternSample]:
@@ -124,38 +160,37 @@ def sample_pattern(v, cfg: ArrayConfig, grid) -> list[PatternSample]:
     return samples
 
 
-def _oscillation_panels(cfg: ArrayConfig, a: float, b: float) -> int:
-    # enough initial panels that the fastest gain oscillation is resolved
-    cycles = (b - a) * cfg.elements * cfg.kd / math.pi
-    return (max(9, int(cycles) + 1)) | 1
+def sinc(x: float) -> float:
+    """sin(x)/x with a series branch near zero; sinc(0) == 1 exactly."""
+    if abs(x) < 1e-6:
+        return 1.0 - x * x / 6.0
+    return math.sin(x) / x
 
 
-def band_power(v, cfg: ArrayConfig, a: float, b: float, tol: float = 1e-9) -> float:
-    """Integral of the directivity gain over [a, b] by adaptive Simpson.
+def _band_entries(cfg: ArrayConfig, a: float, b: float) -> np.ndarray:
+    """First Toeplitz column h[i] = integral of exp(1j*i*kd*s) over [a, b]."""
+    width = b - a
+    mid = 0.5 * (a + b)
+    kd = cfg.kd
+    h = np.empty(cfg.elements, dtype=complex)
+    for i in range(cfg.elements):
+        h[i] = width * sinc(i * kd * width / 2.0) * cmath.exp(1j * i * kd * mid)
+    return h
 
-    The integrand is a trigonometric polynomial, so failure to converge
-    indicates a bug rather than a hard integrand.
+
+def band_power(v, cfg: ArrayConfig, a: float, b: float) -> float:
+    """Integral of the directivity gain over [a, b], in closed form at any kd.
+
+    This is the quadratic form v A v^H of the interval band matrix A, summed
+    along its Toeplitz diagonals: sum_i h[i]^* r[i] over the weight
+    autocorrelation r[i] = sum_m v[m+i] v[m]^*, counting i != 0 twice.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     w = np.asarray(_check_weights(v, cfg), dtype=complex)
-    kd = cfg.kd
-    idx = np.arange(cfg.elements)
-
-    def gain(s: float) -> float:
-        af = np.exp(-1j * kd * s * idx) @ w
-        return af.real * af.real + af.imag * af.imag
-
-    return float(
-        adaptive_simpson(
-            gain,
-            float(a),
-            float(b),
-            tol=tol,
-            max_depth=30,
-            initial_panels=_oscillation_panels(cfg, a, b),
-        )
-    )
+    r = np.correlate(w, w, "full")[cfg.elements - 1 :]
+    terms = (np.conj(_band_entries(cfg, a, b)) * r).real
+    return float(terms[0] + 2.0 * terms[1:].sum())
 
 
 def angle_to_phase(theta: float) -> float:
@@ -211,22 +246,15 @@ def default_grid(points: int = 2001) -> np.ndarray:
 PATTERN_CSV_HEADER = "s,theta_rad,af_re,af_im,gain"
 
 
-def write_pattern_csv(samples, path, precision: int = 17) -> None:
-    def fmt(x: float) -> str:
-        return format(x, f".{precision}g")
+def format_float(x: float, precision: int = 17) -> str:
+    """The one float format of every writer; 17 significant digits round-trip
+    doubles losslessly."""
+    return format(float(x), f".{precision}g")
 
+
+def write_pattern_csv(samples, path, precision: int = 17) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(PATTERN_CSV_HEADER + "\n")
         for smp in samples:
-            fh.write(
-                ",".join(
-                    (
-                        fmt(smp.s),
-                        fmt(smp.theta),
-                        fmt(smp.af.real),
-                        fmt(smp.af.imag),
-                        fmt(smp.gain),
-                    )
-                )
-                + "\n"
-            )
+            fields = (smp.s, smp.theta, smp.af.real, smp.af.imag, smp.gain)
+            fh.write(",".join(format_float(x, precision) for x in fields) + "\n")

@@ -9,9 +9,15 @@ of the log, the closed-form approximation that sits between those bounds, and
 the synthesizer comparison table.
 
 Determinism contract: every random draw comes from a named substream
-``(seed, role, ...)`` (role 1 = desired signal, role 2 = interferer index),
-so results are reproducible bit-for-bit for a fixed seed regardless of how
-many estimators run or in which order.
+``(seed, role, ...)`` (role 1 = desired signal, role 2 = interferer index).
+Each substream's uniform vector is drawn once per estimator call, or once
+per table in :func:`compare_synthesizers`, and mapped affinely into the
+row's signal band or interference intervals.  Results are therefore
+reproducible bit-for-bit for a fixed seed regardless of how many estimators
+run, in which order, or whether a row is evaluated alone or in a table.
+Every Monte Carlo estimator goes through one draws-and-gains path, which
+turns the phases into phasors z = exp(-1j*kd*s) once and evaluates each
+taper on them by Horner's rule.
 """
 
 from __future__ import annotations
@@ -22,14 +28,17 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .array_model import band_power, directivity_gain, pattern_nulls
-from .concentration import (
-    PhaseRegion,
-    angular_concentration_matrix,
-    interval_concentration_matrix,
+from .array_model import (
+    band_power,
+    directivity_gain,
+    format_float,
+    gain_function,
+    pattern_nulls,
+    phasors,
 )
+from .concentration import PhaseRegion, angular_concentration_matrix
 from .linalg import quadratic_form
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson, oscillation_panels
 from .synthesizers import binomial_weights, chebyshev_weights, dft_weights, slepian_weights, steer
 
 __all__ = [
@@ -60,7 +69,6 @@ ANGULAR_DOMAIN = "angular"
 _STREAM_SIGNAL = 1
 _STREAM_INTERFERER = 2
 _MIN_SAMPLES = 1000
-_KD_PI_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -161,11 +169,6 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     )
 
 
-def _validate_samples(n_samples: int) -> None:
-    if n_samples < _MIN_SAMPLES:
-        raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {n_samples}")
-
-
 def _signal_interval(scenario: CapacityScenario) -> tuple[float, float]:
     if scenario.domain == PHASE_DOMAIN:
         return scenario.signal_region.bounds
@@ -183,38 +186,70 @@ def _interference_intervals(scenario: CapacityScenario) -> list[tuple[float, flo
     return [(a, b) for a, b in candidates if b - a > 0.0]
 
 
-def _sample_union(rng: np.random.Generator, intervals, n: int) -> np.ndarray:
-    lengths = np.array([b - a for a, b in intervals])
-    offsets = np.concatenate([[0.0], np.cumsum(lengths)])
-    u = rng.random(n) * offsets[-1]
-    idx = np.clip(np.searchsorted(offsets, u, side="right") - 1, 0, len(intervals) - 1)
-    starts = np.array([a for a, _ in intervals])
-    return starts[idx] + (u - offsets[idx])
+def _uniforms(scenario: CapacityScenario, n: int, seed: int):
+    """The substreams' uniforms: the signal's (n,), one (k, n) row per
+    interferer of nonzero power, and those k powers."""
+    if n < _MIN_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {n}")
+    active = [(i, p) for i, p in enumerate(scenario.interferer_powers) if p > 0]
+    rows = [_rng(seed, _STREAM_INTERFERER, i).random(n) for i, _ in active]
+    signal = _rng(seed, _STREAM_SIGNAL).random(n)
+    return signal, np.array(rows).reshape(len(rows), n), [p for _, p in active]
 
 
-def _signal_draws(scenario: CapacityScenario, n: int, seed: int) -> np.ndarray:
-    rng = _rng(seed, _STREAM_SIGNAL)
+def _to_phase(scenario: CapacityScenario, x):
+    """Arrival variable to phase s: identity, or the cosine of an angle."""
+    if scenario.domain == PHASE_DOMAIN:
+        return x
+    return math.cos(x) if isinstance(x, float) else np.cos(x)
+
+
+def _signal_phases(scenario: CapacityScenario, u: np.ndarray) -> np.ndarray:
     a, b = _signal_interval(scenario)
-    draws = a + (b - a) * rng.random(n)
-    return np.cos(draws) if scenario.domain == ANGULAR_DOMAIN else draws
+    return _to_phase(scenario, a + (b - a) * u)
 
 
-def _interferer_draws(scenario: CapacityScenario, index: int, n: int, seed: int) -> np.ndarray:
+def _interferer_phases(scenario: CapacityScenario, u: np.ndarray) -> np.ndarray:
+    """Uniforms mapped onto the (at most two) interference intervals laid end
+    to end; a comparison picks the interval."""
     intervals = _interference_intervals(scenario)
-    if not intervals:
-        raise ValueError("interference region is empty but interferers are configured")
-    rng = _rng(seed, _STREAM_INTERFERER, index)
-    draws = _sample_union(rng, intervals, n)
-    return np.cos(draws) if scenario.domain == ANGULAR_DOMAIN else draws
+    lengths = [b - a for a, b in intervals]
+    scaled = u * sum(lengths)
+    draws = intervals[0][0] + scaled
+    if len(intervals) == 2:
+        draws = np.where(scaled >= lengths[0], intervals[1][0] + (scaled - lengths[0]), draws)
+    return _to_phase(scenario, draws)
 
 
-def _interference_sums(scenario, v, cfg, n: int, seed: int) -> np.ndarray:
-    total = np.zeros(n)
-    for index, power in enumerate(scenario.interferer_powers):
-        if power == 0.0:
-            continue
-        total += power * directivity_gain(v, cfg, _interferer_draws(scenario, index, n, seed))
-    return total
+def _mc_gains(scenario, tapers, cfg, uniforms):
+    """Yield (signal gains, interference power) over the draws for each taper.
+
+    Every taper shares the phasors of the signal draws.  Tapers go in blocks
+    of at most M, which share the phasors of each interferer's draws; a
+    block's interference sums take no more room than one (n x M) phase matrix.
+    """
+    u0, u_int, powers = uniforms
+    z0 = phasors(cfg, _signal_phases(scenario, u0))
+    for start in range(0, len(tapers), cfg.elements):
+        block = tapers[start : start + cfg.elements]
+        interference = np.zeros((len(block), z0.size))
+        for power, u in zip(powers, u_int):
+            z = phasors(cfg, _interferer_phases(scenario, u))
+            for total, v in zip(interference, block):
+                gain = directivity_gain(v, cfg, z)
+                gain *= power
+                total += gain
+        for v, total in zip(block, interference):
+            yield directivity_gain(v, cfg, z0), total
+
+
+def _row_gains(scenario, v, cfg, n: int, seed: int):
+    """Signal gains and interference power of one taper on its own draws."""
+    return next(_mc_gains(scenario, [v], cfg, _uniforms(scenario, n, seed)))
+
+
+def _capacity(scenario, gain0: np.ndarray, interference: np.ndarray) -> np.ndarray:
+    return np.log2(1.0 + scenario.signal_power * gain0 / (scenario.noise_power + interference))
 
 
 def capacity_sample(scenario, v, cfg, s0: float, s_interferers: Sequence[float] = ()) -> float:
@@ -229,37 +264,28 @@ def capacity_sample(scenario, v, cfg, s0: float, s_interferers: Sequence[float] 
 
 
 def _capacity_draws(scenario, v, cfg, n: int, seed: int) -> np.ndarray:
-    gain0 = directivity_gain(v, cfg, _signal_draws(scenario, n, seed))
-    denom = scenario.noise_power + _interference_sums(scenario, v, cfg, n, seed)
-    return np.log2(1.0 + scenario.signal_power * gain0 / denom)
+    return _capacity(scenario, *_row_gains(scenario, v, cfg, n, seed))
+
+
+def _mean_and_stderr(draws: np.ndarray) -> tuple[float, float]:
+    return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(draws.size))
 
 
 def mean_capacity_mc(scenario, v, cfg, n_samples: int = 100_000, seed: int = 0):
     """Sample mean over i.i.d. arrival draws; returns (mean, stderr)."""
-    _validate_samples(n_samples)
-    draws = _capacity_draws(scenario, v, cfg, n_samples, seed)
-    mean = float(draws.mean())
-    stderr = float(draws.std(ddof=1) / math.sqrt(n_samples))
-    return mean, stderr
+    return _mean_and_stderr(_capacity_draws(scenario, v, cfg, n_samples, seed))
 
 
 def _region_mean_gains(scenario, v, cfg) -> tuple[float, float]:
-    """Mean gain over the signal region and over its complement.
-
-    Closed form through the band matrices where available (phase domain at
-    kd = pi, or the angle domain via the numerically integrated matrix);
-    otherwise direct quadrature of the pattern.
-    """
+    """Mean gain over the signal region and over its complement, in closed
+    form: band powers in the phase domain, the numerically integrated angle
+    matrices in the angle domain."""
     if scenario.domain == PHASE_DOMAIN:
         lo, hi = scenario.signal_region.bounds
         signal_len = hi - lo
         complement_len = 2.0 - signal_len
-        if abs(cfg.kd - math.pi) <= _KD_PI_TOL:
-            in_power = quadratic_form(v, interval_concentration_matrix(cfg, lo, hi).entries)
-            visible = 2.0 * float(np.real(np.vdot(v, v)))
-        else:
-            in_power = band_power(v, cfg, lo, hi)
-            visible = band_power(v, cfg, -1.0, 1.0)
+        in_power = band_power(v, cfg, lo, hi)
+        visible = band_power(v, cfg, -1.0, 1.0)
     else:
         t_lo, t_hi = _signal_interval(scenario)
         signal_len = t_hi - t_lo
@@ -279,38 +305,27 @@ def _region_mean_inverse_gain(scenario, v, cfg) -> tuple[float, bool]:
     # flag only weakens a lower bound
     if pattern_nulls(v, cfg, lo, hi, circle_tol=1e-6):
         return math.inf, True
-    w = np.asarray(v, dtype=complex)
-    kd = cfg.kd
-    idx = np.arange(cfg.elements)
-
-    def inverse_gain_s(s: float) -> float:
-        af = np.exp(-1j * kd * s * idx) @ w
-        return 1.0 / (af.real * af.real + af.imag * af.imag)
-
-    if scenario.domain == PHASE_DOMAIN:
-        a, b, integrand = lo, hi, inverse_gain_s
-    else:
-        a, b = _signal_interval(scenario)
-
-        def integrand(theta: float) -> float:
-            return inverse_gain_s(math.cos(theta))
-
+    gain = gain_function(v, cfg)
+    a, b = _signal_interval(scenario)
+    probe = np.linspace(a, b, 1025)
     # tolerance scaled to the rough size of the integral: near-nulls make it
     # large and an absolute 1e-9 would force needless deep recursion
-    probe = np.linspace(a, b, 1025)
-    rough = float(np.trapezoid([integrand(t) for t in probe], probe))
+    rough = float(np.trapezoid(1.0 / directivity_gain(v, cfg, _to_phase(scenario, probe)), probe))
     if rough / (b - a) > 1e6:
         # harmonic mean gain below 1e-6: the derived bound is within rounding
         # of zero, so the trapezoid estimate is already more precision than
         # any consumer can see (isolated spikes were flagged by the null scan)
         return rough / (b - a), False
     tol = 1e-9 * max(1.0, abs(rough))
-    cycles = (b - a) * cfg.elements * cfg.kd / math.pi
-    panels = (max(9, int(cycles) + 1)) | 1
-    value = float(
-        adaptive_simpson(integrand, a, b, tol=tol, max_depth=30, initial_panels=panels)
+    value = adaptive_simpson(
+        lambda x: 1.0 / gain(_to_phase(scenario, x)),
+        a,
+        b,
+        tol=tol,
+        max_depth=30,
+        initial_panels=oscillation_panels(a, b, cfg.elements, cfg.kd),
     )
-    return value / (b - a), False
+    return float(value) / (b - a), False
 
 
 def _check_nondegenerate_region(scenario) -> None:
@@ -322,6 +337,11 @@ def _check_nondegenerate_region(scenario) -> None:
         )
 
 
+def _approximation(scenario, mean_in: float, mean_out: float) -> float:
+    denominator = scenario.noise_power + scenario.total_interference * mean_out
+    return math.log2(1.0 + scenario.signal_power * mean_in / denominator)
+
+
 def capacity_approximation(scenario, v, cfg) -> float:
     """Closed-form mean-capacity approximation.
 
@@ -331,66 +351,51 @@ def capacity_approximation(scenario, v, cfg) -> float:
     lambda_max / (2 W).
     """
     _check_nondegenerate_region(scenario)
-    mean_in, mean_out = _region_mean_gains(scenario, v, cfg)
-    return math.log2(
-        1.0
-        + scenario.signal_power
-        * mean_in
-        / (scenario.noise_power + scenario.total_interference * mean_out)
-    )
+    return _approximation(scenario, *_region_mean_gains(scenario, v, cfg))
 
 
-def _mean_inverse_noise_plus_interference(
-    scenario, v, cfg, n_samples: int, seed: int, force_mc: bool = False
-) -> float:
+def _mean_inverse_noise_plus_interference(scenario, v, cfg, mc_interference) -> float:
     """E{ 1 / (N0 + I) } over the interferer draws.
 
     Exact when there is no interference; 1-D quadrature when a single
-    interferer carries all the power; Monte Carlo otherwise, on the same
-    substreams as the mean estimator (common random numbers).
+    interferer carries all the power; otherwise the Monte Carlo mean over
+    ``mc_interference()``, the interference draws on the same substreams as
+    the mean estimator (common random numbers).
     """
     noise = scenario.noise_power
     active = [(i, p) for i, p in enumerate(scenario.interferer_powers) if p > 0]
     if not active:
         return 1.0 / noise
-    if len(active) == 1 and not force_mc:
+    if len(active) == 1:
         power = active[0][1]
         intervals = _interference_intervals(scenario)
         total_len = sum(b - a for a, b in intervals)
-        w = np.asarray(v, dtype=complex)
-        kd = cfg.kd
-        idx = np.arange(cfg.elements)
+        gain = gain_function(v, cfg)
 
-        if scenario.domain == PHASE_DOMAIN:
-
-            def integrand(s: float) -> float:
-                af = np.exp(-1j * kd * s * idx) @ w
-                return 1.0 / (noise + power * (af.real * af.real + af.imag * af.imag))
-
-        else:
-
-            def integrand(theta: float) -> float:
-                af = np.exp(-1j * kd * math.cos(theta) * idx) @ w
-                return 1.0 / (noise + power * (af.real * af.real + af.imag * af.imag))
+        def integrand(x: float) -> float:
+            return 1.0 / (noise + power * gain(_to_phase(scenario, x)))
 
         acc = 0.0
         for a, b in intervals:
-            cycles = (b - a) * cfg.elements * kd / math.pi
-            panels = (max(9, int(cycles) + 1)) | 1
             acc += adaptive_simpson(
-                integrand, a, b, tol=1e-10, max_depth=30, initial_panels=panels
+                integrand,
+                a,
+                b,
+                tol=1e-10,
+                max_depth=30,
+                initial_panels=oscillation_panels(a, b, cfg.elements, cfg.kd),
             )
         return acc / total_len
-    _validate_samples(n_samples)
-    sums = _interference_sums(scenario, v, cfg, n_samples, seed)
-    return float(np.mean(1.0 / (noise + sums)))
+    return float(np.mean(1.0 / (noise + mc_interference())))
 
 
 def capacity_upper_bound(scenario, v, cfg, n_samples: int = 100_000, seed: int = 0) -> float:
     """log2(1 + E{S} * E{1/(N0 + I)}): the concave-side bound."""
     _check_nondegenerate_region(scenario)
     mean_in, _ = _region_mean_gains(scenario, v, cfg)
-    inv_mean = _mean_inverse_noise_plus_interference(scenario, v, cfg, n_samples, seed)
+    inv_mean = _mean_inverse_noise_plus_interference(
+        scenario, v, cfg, lambda: _row_gains(scenario, v, cfg, n_samples, seed)[1]
+    )
     return math.log2(1.0 + scenario.signal_power * mean_in * inv_mean)
 
 
@@ -406,12 +411,8 @@ def capacity_lower_bound(scenario, v, cfg) -> LowerBoundResult:
         return LowerBoundResult(0.0, True)
     _, mean_out = _region_mean_gains(scenario, v, cfg)
     harmonic_signal = scenario.signal_power / inv_gain_mean
-    value = math.log2(
-        1.0
-        + harmonic_signal
-        / (scenario.total_interference * mean_out + scenario.noise_power)
-    )
-    return LowerBoundResult(value, False)
+    denominator = scenario.total_interference * mean_out + scenario.noise_power
+    return LowerBoundResult(math.log2(1.0 + harmonic_signal / denominator), False)
 
 
 def estimate_capacity(
@@ -421,41 +422,32 @@ def estimate_capacity(
     n_samples: int = 100_000,
     seed: int = 0,
     outage_quantiles: Sequence[float] = (50.0,),
+    gains=None,
 ) -> CapacityEstimates:
     """Mean, bounds, approximation, and outage quantiles in one pass.
 
     The Monte Carlo interference draws are shared between the mean estimate
-    and the upper bound's expectation term.
+    and the upper bound's expectation term.  ``gains`` takes the (signal
+    gains, interference power) of ``v`` over the (seed, stream) draws when
+    the caller has evaluated them already, as :func:`compare_synthesizers`
+    does for a whole table.
     """
-    _validate_samples(n_samples)
     _check_nondegenerate_region(scenario)
-    gain0 = directivity_gain(v, cfg, _signal_draws(scenario, n_samples, seed))
-    sums = _interference_sums(scenario, v, cfg, n_samples, seed)
-    draws = np.log2(1.0 + scenario.signal_power * gain0 / (scenario.noise_power + sums))
-    mean = float(draws.mean())
-    stderr = float(draws.std(ddof=1) / math.sqrt(n_samples))
+    if gains is None:
+        gains = _row_gains(scenario, v, cfg, n_samples, seed)
+    gain0, interference = gains
+    draws = _capacity(scenario, gain0, interference)
+    mean, stderr = _mean_and_stderr(draws)
     outage = {float(q): float(np.quantile(draws, q / 100.0)) for q in outage_quantiles}
-
     mean_in, mean_out = _region_mean_gains(scenario, v, cfg)
-    approximation = math.log2(
-        1.0
-        + scenario.signal_power
-        * mean_in
-        / (scenario.noise_power + scenario.total_interference * mean_out)
-    )
-    active = [p for p in scenario.interferer_powers if p > 0]
-    if len(active) <= 1:
-        inv_mean = _mean_inverse_noise_plus_interference(scenario, v, cfg, n_samples, seed)
-    else:
-        inv_mean = float(np.mean(1.0 / (scenario.noise_power + sums)))
-    upper = math.log2(1.0 + scenario.signal_power * mean_in * inv_mean)
+    inv_mean = _mean_inverse_noise_plus_interference(scenario, v, cfg, lambda: interference)
     lower = capacity_lower_bound(scenario, v, cfg)
     return CapacityEstimates(
         mean=mean,
         stderr=stderr,
-        upper_bound=upper,
+        upper_bound=math.log2(1.0 + scenario.signal_power * mean_in * inv_mean),
         lower_bound=lower.value,
-        approximation=approximation,
+        approximation=_approximation(scenario, mean_in, mean_out),
         outage=outage,
         lower_bound_diverged=lower.diverged,
     )
@@ -524,7 +516,6 @@ def outage_capacity_mc(scenario, v, cfg, q: float, n_samples: int = 100_000, see
     """Empirical q% outage capacity: the rate exceeded in (100 - q)% of draws."""
     if not 0.0 < q < 100.0:
         raise ValueError(f"outage percentage must be in (0, 100), got {q}")
-    _validate_samples(n_samples)
     draws = _capacity_draws(scenario, v, cfg, n_samples, seed)
     return float(np.quantile(draws, q / 100.0))
 
@@ -554,30 +545,34 @@ def compare_synthesizers(
 
     Each concentration row redesigns both the beam and the scenario band at
     that width (the comparison is "a w-wide beam serving a w-wide region");
-    baseline rows are evaluated on the scenario as given.  A common seed means
-    rows over the same region share arrival draws, so differences come from
-    the patterns rather than sampling noise.
+    baseline rows are evaluated on the scenario as given.  The uniforms are
+    drawn once for the table and every row maps them into its own intervals,
+    so each row is bit-identical to :func:`estimate_capacity` alone and rows
+    over the same region share arrival draws: differences come from the
+    patterns rather than sampling noise.  The baselines share one scenario and
+    go through the gain kernel as one batch on shared phasors.
     """
+    uniforms = _uniforms(scenario, n_samples, seed)
     rows: list[ComparisonRow] = []
     center = scenario.signal_region.center
     for w in w_grid:
-        scen = replace(
-            scenario, signal_region=PhaseRegion(half_width=float(w), center=center)
-        )
+        scen = replace(scenario, signal_region=PhaseRegion(half_width=float(w), center=center))
         design = slepian_weights(cfg, float(w))
         weights = steer(design, center) if center != 0.0 else design.weights
-        est = estimate_capacity(scen, weights, cfg, n_samples, seed)
+        gains = next(_mc_gains(scen, [weights], cfg, uniforms))
+        est = estimate_capacity(scen, weights, cfg, gains=gains)
         rows.append(_row("slepian", float(w), est))
-    for name, weights in (
-        ("dft", dft_weights(cfg.elements)),
-        ("binomial", binomial_weights(cfg.elements)),
-    ):
-        est = estimate_capacity(scenario, weights, cfg, n_samples, seed)
-        rows.append(_row(name, None, est))
-    for att in chebyshev_attenuations_db:
-        weights = chebyshev_weights(cfg.elements, float(att))
-        est = estimate_capacity(scenario, weights, cfg, n_samples, seed)
-        rows.append(_row("chebyshev", float(att), est))
+    baselines = [
+        ("dft", None, dft_weights(cfg.elements)),
+        ("binomial", None, binomial_weights(cfg.elements)),
+    ] + [
+        ("chebyshev", float(att), chebyshev_weights(cfg.elements, float(att)))
+        for att in chebyshev_attenuations_db
+    ]
+    tapers = [weights for _, _, weights in baselines]
+    batch = _mc_gains(scenario, tapers, cfg, uniforms)
+    for (name, param, weights), gains in zip(baselines, batch):
+        rows.append(_row(name, param, estimate_capacity(scenario, weights, cfg, gains=gains)))
     return rows
 
 
@@ -598,24 +593,10 @@ COMPARISON_CSV_HEADER = "synthesizer,param,mean,stderr,ub,lb,approx,outage50"
 
 
 def write_comparison_csv(rows, path, precision: int = 17) -> None:
-    def fmt(x: float) -> str:
-        return format(x, f".{precision}g")
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(COMPARISON_CSV_HEADER + "\n")
         for row in rows:
-            fh.write(
-                ",".join(
-                    (
-                        row.synthesizer,
-                        "" if row.param is None else fmt(row.param),
-                        fmt(row.mean),
-                        fmt(row.stderr),
-                        fmt(row.ub),
-                        fmt(row.lb),
-                        fmt(row.approx),
-                        fmt(row.outage50),
-                    )
-                )
-                + "\n"
-            )
+            param = "" if row.param is None else format_float(row.param, precision)
+            values = (row.mean, row.stderr, row.ub, row.lb, row.approx, row.outage50)
+            fields = [row.synthesizer, param] + [format_float(x, precision) for x in values]
+            fh.write(",".join(fields) + "\n")

@@ -56,10 +56,6 @@ def _out_path(raw: str) -> Path:
     return path
 
 
-def _fmt(x: float, precision: int) -> str:
-    return format(float(x), f".{precision}g")
-
-
 def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 

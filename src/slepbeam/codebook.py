@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .array_model import ArrayConfig
+from .array_model import ArrayConfig, band_power, format_float
 from .concentration import PhaseRegion
 from .synthesizers import SteeringLimitError, slepian_weights, steer
 
@@ -93,21 +93,18 @@ def best_codeword(book: Codebook, s: float) -> int:
     return min(bisect_left(uppers, s), len(uppers) - 1)
 
 
-def _fmt(x: float, precision: int) -> str:
-    return format(float(x), f".{precision}g")
-
-
 def save_codebook(book: Codebook, path, precision: int = 17) -> None:
     """Write the fixed-order JSON schema; 17 significant digits round-trip
     doubles losslessly."""
     regions = ",".join(
-        f'{{"center":{_fmt(r.center, precision)},"half_width":{_fmt(r.half_width, precision)}}}'
+        f'{{"center":{format_float(r.center, precision)},'
+        f'"half_width":{format_float(r.half_width, precision)}}}'
         for r in book.regions
     )
     codewords = ",".join(
         "["
         + ",".join(
-            f'{{"re":{_fmt(z.real, precision)},"im":{_fmt(z.imag, precision)}}}'
+            f'{{"re":{format_float(z.real, precision)},"im":{format_float(z.imag, precision)}}}'
             for z in np.asarray(cw, dtype=complex)
         )
         + "]"
@@ -116,7 +113,7 @@ def save_codebook(book: Codebook, path, precision: int = 17) -> None:
     metadata = json.dumps(book.metadata, sort_keys=True)
     text = (
         f'{{"version":1,"M":{book.config.elements},'
-        f'"d_over_lambda":{_fmt(book.config.spacing_ratio, precision)},'
+        f'"d_over_lambda":{format_float(book.config.spacing_ratio, precision)},'
         f'"regions":[{regions}],"codewords":[{codewords}],'
         f'"metadata":{metadata}}}'
     )
@@ -139,6 +136,20 @@ def _validate_tiling(regions) -> None:
             )
     if any(r.bounds[1] - r.bounds[0] <= 0 for r in regions):
         raise CodebookFormatError("every region must have positive width")
+
+
+def _validate_concentration(cfg, regions, codewords, lambda_max) -> None:
+    """Codeword k must put more closed-form band energy into region k than
+    into any other region, and that energy must be ``lambda_max``."""
+    for k, cw in enumerate(codewords):
+        energy = [band_power(cw, cfg, *r.bounds) for r in regions]
+        best = max(range(len(regions)), key=energy.__getitem__)
+        if energy[best] > energy[k] * (1.0 + 1e-12):
+            raise CodebookFormatError(f"codeword {k} concentrates in region {best}, not its own")
+        if lambda_max is not None and abs(energy[k] - lambda_max) > 1e-9 * abs(lambda_max):
+            raise CodebookFormatError(
+                f"codeword {k} region energy {energy[k]!r} is not lambda_max {lambda_max!r}"
+            )
 
 
 def load_codebook(path) -> Codebook:
@@ -194,6 +205,10 @@ def load_codebook(path) -> Codebook:
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise CodebookFormatError("metadata must be an object")
+    lambda_max = metadata.get("lambda_max")
+    if lambda_max is not None and not isinstance(lambda_max, (int, float)):
+        raise CodebookFormatError(f"metadata lambda_max must be a number, got {lambda_max!r}")
+    _validate_concentration(cfg, regions, codewords, lambda_max)
     return Codebook(
         config=cfg, regions=regions, codewords=tuple(codewords), metadata=metadata
     )

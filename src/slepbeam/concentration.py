@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArrayConfig, band_power
+from .array_model import ArrayConfig, _band_entries, format_float, gain_function, sinc
 from .linalg import eigh_hermitian, eigh_symmetric
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson, oscillation_panels
 
 __all__ = [
     "PhaseRegion",
@@ -93,24 +93,6 @@ class ConcentrationMatrix:
         return f"{self.domain}[{self.bounds[0]:.6g}, {self.bounds[1]:.6g}] @ kd={self.kd:.6g}"
 
 
-def sinc(x: float) -> float:
-    """sin(x)/x with a series branch near zero; sinc(0) == 1 exactly."""
-    if abs(x) < 1e-6:
-        return 1.0 - x * x / 6.0
-    return math.sin(x) / x
-
-
-def _band_entries(cfg: ArrayConfig, a: float, b: float) -> np.ndarray:
-    """First Toeplitz column h[i] = integral of exp(1j*i*kd*s) over [a, b]."""
-    width = b - a
-    mid = 0.5 * (a + b)
-    kd = cfg.kd
-    h = np.empty(cfg.elements, dtype=complex)
-    for i in range(cfg.elements):
-        h[i] = width * sinc(i * kd * width / 2.0) * cmath.exp(1j * i * kd * mid)
-    return h
-
-
 def _toeplitz_hermitian(h: np.ndarray) -> np.ndarray:
     n = h.size
     offsets = np.arange(n)[None, :] - np.arange(n)[:, None]
@@ -164,15 +146,13 @@ def angular_concentration_matrix(
     h = np.empty(cfg.elements, dtype=complex)
     h[0] = theta2 - theta1
     for i in range(1, cfg.elements):
-        cycles = (theta2 - theta1) * i * kd / math.pi
-        panels = (max(9, int(cycles) + 1)) | 1
         h[i] = adaptive_simpson(
             lambda t, i=i: cmath.exp(1j * i * kd * math.cos(t)),
             theta1,
             theta2,
             tol=tol,
             max_depth=30,
-            initial_panels=panels,
+            initial_panels=oscillation_panels(theta1, theta2, i, kd),
         )
     return ConcentrationMatrix(
         entries=_toeplitz_hermitian(h), bounds=(theta1, theta2), kd=kd, domain="angle"
@@ -250,7 +230,14 @@ def min_eigenvalue(matrix) -> float:
     taper = extreme_concentration_taper(cfg, hi, most=False)
     if taper is None:
         return smallest
-    return band_power(taper, cfg, lo, hi, tol=1e-12)
+    return adaptive_simpson(
+        gain_function(taper, cfg),
+        lo,
+        hi,
+        tol=1e-12,
+        max_depth=30,
+        initial_panels=oscillation_panels(lo, hi, cfg.elements, cfg.kd),
+    )
 
 
 def is_toeplitz(entries) -> bool:
@@ -265,11 +252,7 @@ def is_centrosymmetric(entries) -> bool:
 
 def matrix_debug_json(matrix: ConcentrationMatrix, precision: int = 17) -> str:
     """Debug serialization: {"order":M,"entries_re":[...],"entries_im":[...]}."""
-
-    def fmt(x: float) -> str:
-        return format(float(x), f".{precision}g")
-
     entries = np.asarray(matrix.entries, dtype=complex).ravel()
-    re = ",".join(fmt(z.real) for z in entries)
-    im = ",".join(fmt(z.imag) for z in entries)
+    re = ",".join(format_float(z.real, precision) for z in entries)
+    im = ",".join(format_float(z.imag, precision) for z in entries)
     return f'{{"order":{matrix.order},"entries_re":[{re}],"entries_im":[{im}]}}'

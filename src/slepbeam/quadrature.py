@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
-__all__ = ["QuadratureError", "adaptive_simpson"]
+__all__ = ["QuadratureError", "adaptive_simpson", "oscillation_panels"]
 
 
 class QuadratureError(RuntimeError):
     """Tolerance was not reached before the subdivision depth limit."""
+
+
+def oscillation_panels(a: float, b: float, harmonic: int, kd: float) -> int:
+    """Initial panel count for an integrand of the phase that oscillates up to
+    ``harmonic`` * kd radians per unit: odd, at least 9, and enough that the
+    fastest oscillation is resolved."""
+    cycles = (b - a) * harmonic * kd / math.pi
+    return max(9, int(cycles) + 1) | 1
 
 
 def adaptive_simpson(

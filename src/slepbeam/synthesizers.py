@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArrayConfig
+from .array_model import ArrayConfig, band_power, format_float
 from .concentration import (
     PhaseRegion,
     concentration_matrix,
@@ -87,7 +87,9 @@ def slepian_weights(cfg: ArrayConfig, half_width: float) -> SynthesisResult:
     energy matrix is 2I - A and the achieved in-band energy equals the top
     eigenvalue.  Other spacings still solve the same in-band eigenproblem of
     A, but the visible-space interference treatment then needs
-    :func:`slepian_weights_general`.
+    :func:`slepian_weights_general`.  The reported quotient is the in/out
+    ratio over the visible space at any spacing, lambda / (e_vis - lambda),
+    e_vis being the closed-form visible energy (2 at kd = pi, to rounding).
     """
     if not 0.0 < half_width < 1.0:
         raise DegenerateWidthError(
@@ -116,7 +118,7 @@ def slepian_weights(cfg: ArrayConfig, half_width: float) -> SynthesisResult:
         )
     if weights is None:
         weights = dec.eigenvectors[:, 0].copy()
-    denom = 2.0 - lam
+    denom = band_power(weights, cfg, -1.0, 1.0) - lam
     quotient = lam / denom if denom != 0.0 else math.inf
     return SynthesisResult(
         weights=weights,
@@ -330,25 +332,11 @@ WEIGHTS_CSV_HEADER = "index,amplitude,phase_rad,re,im"
 
 
 def write_weights_csv(weights, path, precision: int = 17) -> None:
-    def fmt(x: float) -> str:
-        return format(x, f".{precision}g")
-
-    w = np.asarray(weights, dtype=complex)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(WEIGHTS_CSV_HEADER + "\n")
-        for idx, z in enumerate(w):
-            fh.write(
-                ",".join(
-                    (
-                        str(idx),
-                        fmt(abs(z)),
-                        fmt(math.atan2(z.imag, z.real)),
-                        fmt(z.real),
-                        fmt(z.imag),
-                    )
-                )
-                + "\n"
-            )
+        for idx, z in enumerate(np.asarray(weights, dtype=complex)):
+            fields = (abs(z), math.atan2(z.imag, z.real), z.real, z.imag)
+            fh.write(",".join([str(idx)] + [format_float(x, precision) for x in fields]) + "\n")
 
 
 def read_weights_csv(path) -> np.ndarray:

@@ -13,8 +13,10 @@ from slepbeam.array_model import (
     band_power,
     default_grid,
     directivity_gain,
+    gain_function,
     pattern_nulls,
     phase_to_angle,
+    phasors,
     sample_pattern,
     steering_vector,
     write_pattern_csv,
@@ -156,6 +158,27 @@ class TestBandPower:
         with pytest.raises(ValueError):
             band_power(dft_weights(5), CFG5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("spacing", [0.3786239830493477, 0.3913354217870252, 0.45, 0.6])
+    def test_matches_gauss_legendre_off_half_wave(self, spacing):
+        """Steered general designs at spacings where adaptive Simpson missed
+        its tolerance by up to 60x; the closed form stays at rounding level."""
+        from slepbeam.concentration import PhaseRegion, interval_concentration_matrix
+        from slepbeam.linalg import quadratic_form
+        from slepbeam.synthesizers import slepian_weights_general
+
+        cfg = ArrayConfig(16, spacing)
+        v = slepian_weights_general(cfg, PhaseRegion(half_width=0.15, center=0.3)).weights
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        for a, b in ((-1.0, 1.0), (0.15, 0.45)):
+            edges = np.linspace(a, b, 513)
+            mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+            s = (mid[:, None] + half[:, None] * nodes).ravel()
+            af = np.exp(-1j * cfg.kd * np.outer(s, np.arange(16))) @ v
+            reference = float(np.sum(np.repeat(half, 20) * np.tile(weights, 512) * np.abs(af) ** 2))
+            assert band_power(v, cfg, a, b) == pytest.approx(reference, abs=1e-13)
+            matrix = interval_concentration_matrix(cfg, a, b).entries
+            assert band_power(v, cfg, a, b) == pytest.approx(quadratic_form(v, matrix), abs=1e-14)
+
 
 class TestAnglePhase:
     def test_broadside(self):
@@ -196,6 +219,28 @@ class TestPatternNulls:
         )
         assert nulls
         assert nulls[-1] == pytest.approx(1.0, abs=1e-4)
+
+
+class TestHornerKernel:
+    """The Horner kernel against the direct exponential sum it replaced."""
+
+    @pytest.mark.parametrize("elements", [1, 2, 5, 16, 64, 128])
+    @pytest.mark.parametrize("spacing", [0.1, 0.35, 0.5, 1.0])
+    def test_matches_direct_sum(self, elements, spacing):
+        cfg = ArrayConfig(elements, spacing)
+        rng = np.random.default_rng(elements * 100 + int(spacing * 100))
+        z = rng.standard_normal(elements) + 1j * rng.standard_normal(elements)
+        v = z / np.linalg.norm(z) * np.exp(1j * cfg.kd * 0.3 * np.arange(elements))
+        s = np.concatenate([rng.uniform(-1.0, 1.0, 500), [-1.0, 0.0, 0.3, 1.0]])
+        direct = np.exp(-1j * cfg.kd * np.outer(s, np.arange(elements))) @ v
+        scale = np.sum(np.abs(v)) ** 2
+        af = array_factor(v, cfg, s)
+        assert np.max(np.abs(af - direct)) <= 1e-13 * np.sqrt(scale)
+        gain = directivity_gain(v, cfg, s)
+        assert np.max(np.abs(gain - np.abs(direct) ** 2)) <= 1e-13 * scale
+        np.testing.assert_array_equal(directivity_gain(v, cfg, phasors(cfg, s)), gain)
+        scalar = gain_function(v, cfg)
+        assert max(abs(scalar(x) - g) for x, g in zip(s, gain)) <= 1e-13 * scale
 
 
 @given(

@@ -18,14 +18,22 @@ from slepbeam.capacity import (
     outage_capacity_mc,
     verify_ordering,
     write_comparison_csv,
-    _interferer_draws,
+    _interferer_phases,
     _mean_inverse_noise_plus_interference,
     _region_mean_gains,
-    _signal_draws,
+    _row_gains,
+    _signal_phases,
+    _uniforms,
 )
 from slepbeam.concentration import PhaseRegion
 from slepbeam.quadrature import adaptive_simpson
-from slepbeam.synthesizers import dft_weights, slepian_weights
+from slepbeam.synthesizers import (
+    binomial_weights,
+    chebyshev_weights,
+    dft_weights,
+    slepian_weights,
+    steer,
+)
 
 CFG5 = ArrayConfig(5, 0.5)
 FIG9 = CapacityScenario.equal_interferers(1.0, 0.6, 0.1, PhaseRegion(half_width=0.2))
@@ -88,6 +96,14 @@ class TestCapacitySample:
             capacity_sample(FIG9, dft_weights(5), CFG5, 0.0, [0.5])
 
 
+def _signal_draws(scenario, n, seed):
+    return _signal_phases(scenario, _uniforms(scenario, n, seed)[0])
+
+
+def _interferer_draws(scenario, index, n, seed):
+    return _interferer_phases(scenario, _uniforms(scenario, n, seed)[1][index])
+
+
 class TestSampling:
     def test_signal_draws_inside_region(self):
         draws = _signal_draws(FIG9, 5000, 9)
@@ -110,6 +126,25 @@ class TestSampling:
         c = _interferer_draws(FIG9, 0, 1000, 3)
         d = _interferer_draws(FIG9, 1, 1000, 3)
         assert not np.array_equal(c, d)
+
+    @pytest.mark.parametrize("domain, center", [("phase", 0.0), ("angular", 0.0), ("phase", 0.5)])
+    def test_union_map_matches_search_over_interval_offsets(self, domain, center):
+        """The comparison that picks an interference interval reproduces the
+        search over cumulative interval lengths bit for bit."""
+        scenario = replace(FIG9, signal_region=PhaseRegion(0.2, center=center), domain=domain)
+        lo, hi = scenario.signal_region.bounds
+        if domain == "phase":
+            intervals = [(-1.0, lo), (hi, 1.0)]
+        else:
+            intervals = [(0.0, math.acos(hi)), (math.acos(lo), math.pi)]
+        u = np.random.default_rng(4).random(20_000)
+        offsets = np.concatenate([[0.0], np.cumsum([b - a for a, b in intervals])])
+        scaled = u * offsets[-1]
+        idx = np.clip(np.searchsorted(offsets, scaled, side="right") - 1, 0, 1)
+        expected = np.array([a for a, _ in intervals])[idx] + (scaled - offsets[idx])
+        if domain == "angular":
+            expected = np.cos(expected)
+        np.testing.assert_array_equal(_interferer_phases(scenario, u), expected)
 
 
 class TestMeanCapacity:
@@ -199,13 +234,12 @@ class TestUpperBound:
     def test_single_interferer_quadrature_matches_mc(self):
         scenario = CapacityScenario(1.0, (0.6,), 0.1, PhaseRegion(half_width=0.2))
         v = slepian_weights(CFG5, 0.2).weights
-        quad = _mean_inverse_noise_plus_interference(scenario, v, CFG5, 100_000, 13)
-        mc = _mean_inverse_noise_plus_interference(
-            scenario, v, CFG5, 100_000, 13, force_mc=True
-        )
-        draws = 1.0 / (0.1 + 0.6 * directivity_gain(v, CFG5, _interferer_draws(scenario, 0, 100_000, 13)))
+        quad = _mean_inverse_noise_plus_interference(scenario, v, CFG5, None)
+        draws = 1.0 / (0.1 + _row_gains(scenario, v, CFG5, 100_000, 13)[1])
+        independent = 1.0 / (0.1 + 0.6 * directivity_gain(v, CFG5, _interferer_draws(scenario, 0, 100_000, 13)))
+        np.testing.assert_array_equal(draws, independent)
         stderr = draws.std(ddof=1) / math.sqrt(draws.size)
-        assert abs(quad - mc) <= 3.0 * stderr
+        assert abs(quad - draws.mean()) <= 3.0 * stderr
 
 
 class TestLowerBound:
@@ -342,6 +376,29 @@ class TestCompare:
             mean_out = (2.0 - result.lambda_max) / (2.0 - 2.0 * row.param)
             expected = math.log2(1.0 + mean_in / (0.1 + 0.6 * mean_out))
             assert row.approx == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("domain, center", [("phase", 0.0), ("phase", 0.3), ("angular", 0.0)])
+    def test_rows_match_standalone_estimates_bitwise(self, domain, center):
+        """Uniforms drawn once per table and phasors shared by the baseline
+        batch give every row exactly what estimate_capacity gives alone."""
+        scenario = replace(FIG9, signal_region=PhaseRegion(0.2, center=center), domain=domain)
+        cfg = ArrayConfig(3, 0.5)  # M=3 puts the 2 + 5 baselines in blocks of 3
+        rows = compare_synthesizers(cfg, scenario, [0.1, 0.25], [20, 25, 30, 35, 40], 3_000, 5)
+        for row in rows:
+            if row.synthesizer == "slepian":
+                scen = replace(scenario, signal_region=PhaseRegion(row.param, center=center))
+                design = slepian_weights(cfg, row.param)
+                v = steer(design, center) if center else design.weights
+            else:
+                scen = scenario
+                v = {"dft": dft_weights(3), "binomial": binomial_weights(3)}.get(
+                    row.synthesizer, chebyshev_weights(3, row.param or 30.0)
+                )
+            est = estimate_capacity(scen, v, cfg, 3_000, 5)
+            assert (row.mean, row.stderr, row.ub, row.lb, row.approx, row.outage50) == (
+                est.mean, est.stderr, est.upper_bound, est.lower_bound, est.approximation,
+                est.outage[50.0],
+            )
 
     def test_estimate_and_standalone_ops_agree_bitwise(self):
         v = dft_weights(5)

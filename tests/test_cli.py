@@ -24,6 +24,13 @@ class TestSynthesize:
         assert summary["symmetry_class"] == "symmetric"
         assert summary["lambda_max"] > 0
 
+    def test_off_half_wave_summary_quotient(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert run(["synthesize", "--elements", 6, "--spacing", 0.35,
+                    "--half-width", 0.2, "--output", out]) == 0
+        summary = json.loads((tmp_path / "w.csv.summary.json").read_text())
+        assert summary["quotient"] == pytest.approx(2.5695326597, rel=1e-9)
+
     def test_degenerate_width_exits_2(self, tmp_path, capsys):
         code = run(["synthesize", "--elements", 5, "--half-width", 0,
                     "--output", tmp_path / "w.csv"])

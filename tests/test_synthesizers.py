@@ -62,6 +62,25 @@ class TestSlepianWeights:
             result.lambda_max / (2.0 - result.lambda_max), rel=1e-14
         )
 
+    def test_quotient_off_half_wave_is_in_out_ratio(self):
+        """At kd != pi the quotient divides by the visible energy, not by 2;
+        the ratio is checked against Gauss-Legendre integrals of the gain."""
+        cfg = ArrayConfig(6, 0.35)
+        result = slepian_weights(cfg, 0.2)
+        nodes, weights = np.polynomial.legendre.leggauss(40)
+
+        def energy(a, b, panels=64):
+            edges = np.linspace(a, b, panels + 1)
+            mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+            s = (mid[:, None] + half[:, None] * nodes).ravel()
+            af = np.exp(-1j * cfg.kd * np.outer(s, np.arange(6))) @ result.weights
+            return float(np.sum(np.repeat(half, nodes.size) * np.tile(weights, panels) * np.abs(af) ** 2))
+
+        in_band = energy(-0.2, 0.2)
+        assert in_band == pytest.approx(result.lambda_max, rel=1e-12)
+        assert result.quotient == pytest.approx(in_band / (energy(-1.0, 1.0) - in_band), rel=1e-12)
+        assert result.quotient == pytest.approx(2.5695326597, rel=1e-9)
+
     def test_in_band_power_equals_lambda_max(self):
         for width in (0.1, 0.3, 0.5):
             result = slepian_weights(CFG5, width)
