@@ -276,16 +276,26 @@ def mean_capacity_mc(scenario, v, cfg, n_samples: int = 100_000, seed: int = 0):
     return _mean_and_stderr(_capacity_draws(scenario, v, cfg, n_samples, seed))
 
 
+def _integrate(f, a: float, b: float, cfg, tol: float = 1e-9) -> float:
+    """Adaptive Simpson over [a, b], starting from panels that resolve the pattern."""
+    panels = oscillation_panels(a, b, cfg.elements, cfg.kd)
+    return float(adaptive_simpson(f, a, b, tol=tol, max_depth=30, initial_panels=panels))
+
+
 def _region_mean_gains(scenario, v, cfg) -> tuple[float, float]:
-    """Mean gain over the signal region and over its complement, in closed
-    form: band powers in the phase domain, the numerically integrated angle
-    matrices in the angle domain."""
+    """Mean gain over the signal region and over its complement: closed-form
+    band powers in the phase domain at kd = pi, the numerically integrated
+    angle matrices in the angle domain, otherwise adaptive Simpson over the
+    pattern (which can miss its tolerance; see ROADMAP item 6)."""
     if scenario.domain == PHASE_DOMAIN:
         lo, hi = scenario.signal_region.bounds
         signal_len = hi - lo
         complement_len = 2.0 - signal_len
-        in_power = band_power(v, cfg, lo, hi)
-        visible = band_power(v, cfg, -1.0, 1.0)
+        if abs(cfg.kd - math.pi) <= 1e-12:
+            in_power, visible = band_power(v, cfg, lo, hi), band_power(v, cfg, -1.0, 1.0)
+        else:
+            gain = gain_function(v, cfg)
+            in_power, visible = _integrate(gain, lo, hi, cfg), _integrate(gain, -1.0, 1.0, cfg)
     else:
         t_lo, t_hi = _signal_interval(scenario)
         signal_len = t_hi - t_lo
@@ -317,15 +327,7 @@ def _region_mean_inverse_gain(scenario, v, cfg) -> tuple[float, bool]:
         # any consumer can see (isolated spikes were flagged by the null scan)
         return rough / (b - a), False
     tol = 1e-9 * max(1.0, abs(rough))
-    value = adaptive_simpson(
-        lambda x: 1.0 / gain(_to_phase(scenario, x)),
-        a,
-        b,
-        tol=tol,
-        max_depth=30,
-        initial_panels=oscillation_panels(a, b, cfg.elements, cfg.kd),
-    )
-    return float(value) / (b - a), False
+    return _integrate(lambda x: 1.0 / gain(_to_phase(scenario, x)), a, b, cfg, tol) / (b - a), False
 
 
 def _check_nondegenerate_region(scenario) -> None:
@@ -377,14 +379,7 @@ def _mean_inverse_noise_plus_interference(scenario, v, cfg, mc_interference) -> 
 
         acc = 0.0
         for a, b in intervals:
-            acc += adaptive_simpson(
-                integrand,
-                a,
-                b,
-                tol=1e-10,
-                max_depth=30,
-                initial_panels=oscillation_panels(a, b, cfg.elements, cfg.kd),
-            )
+            acc += _integrate(integrand, a, b, cfg, tol=1e-10)
         return acc / total_len
     return float(np.mean(1.0 / (noise + mc_interference())))
 

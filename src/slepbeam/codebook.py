@@ -8,6 +8,7 @@ under a different steering ramp.
 from __future__ import annotations
 
 import json
+import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,7 @@ from .synthesizers import SteeringLimitError, slepian_weights, steer
 __all__ = [
     "Codebook",
     "CodebookFormatError",
+    "CodebookWarning",
     "build_codebook",
     "best_codeword",
     "save_codebook",
@@ -33,6 +35,10 @@ _EDGE_TOL = 1e-12
 
 class CodebookFormatError(ValueError):
     """Codebook file is malformed or violates a codebook invariant."""
+
+
+class CodebookWarning(UserWarning):
+    """A loaded codeword does not concentrate in its own region."""
 
 
 @dataclass(frozen=True)
@@ -138,22 +144,24 @@ def _validate_tiling(regions) -> None:
         raise CodebookFormatError("every region must have positive width")
 
 
-def _validate_concentration(cfg, regions, codewords, lambda_max) -> None:
+def _concentration_faults(cfg, regions, codewords, lambda_max) -> list[str]:
     """Codeword k must put more closed-form band energy into region k than
     into any other region, and that energy must be ``lambda_max``."""
+    faults = []
     for k, cw in enumerate(codewords):
         energy = [band_power(cw, cfg, *r.bounds) for r in regions]
         best = max(range(len(regions)), key=energy.__getitem__)
         if energy[best] > energy[k] * (1.0 + 1e-12):
-            raise CodebookFormatError(f"codeword {k} concentrates in region {best}, not its own")
+            faults.append(f"codeword {k} concentrates in region {best}, not its own")
         if lambda_max is not None and abs(energy[k] - lambda_max) > 1e-9 * abs(lambda_max):
-            raise CodebookFormatError(
-                f"codeword {k} region energy {energy[k]!r} is not lambda_max {lambda_max!r}"
-            )
+            faults.append(f"codeword {k} region energy {energy[k]!r} is not lambda_max {lambda_max!r}")
+    return faults
 
 
-def load_codebook(path) -> Codebook:
-    """Parse and revalidate a saved codebook; any invariant violation rejects."""
+def load_codebook(path, strict: bool = False) -> Codebook:
+    """Parse and revalidate a saved codebook.  A format or structure violation
+    rejects; a codeword that does not concentrate in its own region rejects
+    when ``strict`` and loads with a :class:`CodebookWarning` otherwise."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
@@ -208,7 +216,11 @@ def load_codebook(path) -> Codebook:
     lambda_max = metadata.get("lambda_max")
     if lambda_max is not None and not isinstance(lambda_max, (int, float)):
         raise CodebookFormatError(f"metadata lambda_max must be a number, got {lambda_max!r}")
-    _validate_concentration(cfg, regions, codewords, lambda_max)
+    faults = _concentration_faults(cfg, regions, codewords, lambda_max)
+    if faults and strict:
+        raise CodebookFormatError("; ".join(faults))
+    if faults:
+        warnings.warn("; ".join(faults), CodebookWarning, stacklevel=2)
     return Codebook(
         config=cfg, regions=regions, codewords=tuple(codewords), metadata=metadata
     )

@@ -146,14 +146,9 @@ def angular_concentration_matrix(
     h = np.empty(cfg.elements, dtype=complex)
     h[0] = theta2 - theta1
     for i in range(1, cfg.elements):
-        h[i] = adaptive_simpson(
-            lambda t, i=i: cmath.exp(1j * i * kd * math.cos(t)),
-            theta1,
-            theta2,
-            tol=tol,
-            max_depth=30,
-            initial_panels=oscillation_panels(theta1, theta2, i, kd),
-        )
+        panels = oscillation_panels(theta1, theta2, i, kd)
+        h[i] = adaptive_simpson(lambda t, i=i: cmath.exp(1j * i * kd * math.cos(t)), theta1, theta2,
+                                tol=tol, max_depth=30, initial_panels=panels)
     return ConcentrationMatrix(
         entries=_toeplitz_hermitian(h), bounds=(theta1, theta2), kd=kd, domain="angle"
     )
@@ -230,14 +225,9 @@ def min_eigenvalue(matrix) -> float:
     taper = extreme_concentration_taper(cfg, hi, most=False)
     if taper is None:
         return smallest
-    return adaptive_simpson(
-        gain_function(taper, cfg),
-        lo,
-        hi,
-        tol=1e-12,
-        max_depth=30,
-        initial_panels=oscillation_panels(lo, hi, cfg.elements, cfg.kd),
-    )
+    panels = oscillation_panels(lo, hi, cfg.elements, cfg.kd)
+    gain = gain_function(taper, cfg)
+    return adaptive_simpson(gain, lo, hi, tol=1e-12, max_depth=30, initial_panels=panels)
 
 
 def is_toeplitz(entries) -> bool:

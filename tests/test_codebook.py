@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from slepbeam.array_model import ArrayConfig, array_factor, band_power
 from slepbeam.codebook import (
     CodebookFormatError,
+    CodebookWarning,
     best_codeword,
     build_codebook,
     load_codebook,
@@ -189,7 +190,12 @@ class TestSaveLoad:
         data["codewords"] = permute(data["codewords"])
         path.write_text(json.dumps(data))
         with pytest.raises(CodebookFormatError, match="concentrates in region"):
-            load_codebook(path)
+            load_codebook(path, strict=True)
+        with pytest.warns(CodebookWarning, match="concentrates in region"):
+            loaded = load_codebook(path)
+        assert [list(cw) for cw in loaded.codewords] == [
+            list(cw) for cw in permute(list(book5.codewords))
+        ]
 
     def test_lambda_max_mismatch_rejected(self, book5, tmp_path):
         path = tmp_path / "book.json"
@@ -198,6 +204,8 @@ class TestSaveLoad:
         data["metadata"]["lambda_max"] *= 1.0 + 1e-8
         path.write_text(json.dumps(data))
         with pytest.raises(CodebookFormatError, match="lambda_max"):
+            load_codebook(path, strict=True)
+        with pytest.warns(CodebookWarning, match="lambda_max"):
             load_codebook(path)
         data["metadata"]["lambda_max"] = "large"
         path.write_text(json.dumps(data))
