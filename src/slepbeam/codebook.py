@@ -8,7 +8,6 @@ under a different steering ramp.
 from __future__ import annotations
 
 import json
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,14 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .array_model import ArrayConfig, band_power, format_float
+from .array_model import ArrayConfig, format_float
 from .concentration import PhaseRegion
 from .synthesizers import SteeringLimitError, slepian_weights, steer
 
 __all__ = [
     "Codebook",
     "CodebookFormatError",
-    "CodebookWarning",
     "build_codebook",
     "best_codeword",
     "save_codebook",
@@ -35,10 +33,6 @@ _EDGE_TOL = 1e-12
 
 class CodebookFormatError(ValueError):
     """Codebook file is malformed or violates a codebook invariant."""
-
-
-class CodebookWarning(UserWarning):
-    """A loaded codeword does not concentrate in its own region."""
 
 
 @dataclass(frozen=True)
@@ -144,24 +138,8 @@ def _validate_tiling(regions) -> None:
         raise CodebookFormatError("every region must have positive width")
 
 
-def _concentration_faults(cfg, regions, codewords, lambda_max) -> list[str]:
-    """Codeword k must put more closed-form band energy into region k than
-    into any other region, and that energy must be ``lambda_max``."""
-    faults = []
-    for k, cw in enumerate(codewords):
-        energy = [band_power(cw, cfg, *r.bounds) for r in regions]
-        best = max(range(len(regions)), key=energy.__getitem__)
-        if energy[best] > energy[k] * (1.0 + 1e-12):
-            faults.append(f"codeword {k} concentrates in region {best}, not its own")
-        if lambda_max is not None and abs(energy[k] - lambda_max) > 1e-9 * abs(lambda_max):
-            faults.append(f"codeword {k} region energy {energy[k]!r} is not lambda_max {lambda_max!r}")
-    return faults
-
-
-def load_codebook(path, strict: bool = False) -> Codebook:
-    """Parse and revalidate a saved codebook.  A format or structure violation
-    rejects; a codeword that does not concentrate in its own region rejects
-    when ``strict`` and loads with a :class:`CodebookWarning` otherwise."""
+def load_codebook(path) -> Codebook:
+    """Parse and revalidate a saved codebook; any invariant violation rejects."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
@@ -213,14 +191,6 @@ def load_codebook(path, strict: bool = False) -> Codebook:
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise CodebookFormatError("metadata must be an object")
-    lambda_max = metadata.get("lambda_max")
-    if lambda_max is not None and not isinstance(lambda_max, (int, float)):
-        raise CodebookFormatError(f"metadata lambda_max must be a number, got {lambda_max!r}")
-    faults = _concentration_faults(cfg, regions, codewords, lambda_max)
-    if faults and strict:
-        raise CodebookFormatError("; ".join(faults))
-    if faults:
-        warnings.warn("; ".join(faults), CodebookWarning, stacklevel=2)
     return Codebook(
         config=cfg, regions=regions, codewords=tuple(codewords), metadata=metadata
     )

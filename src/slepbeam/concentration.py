@@ -15,7 +15,7 @@ import numpy as np
 
 from .array_model import ArrayConfig, _band_entries, format_float, gain_function, sinc
 from .linalg import eigh_hermitian, eigh_symmetric
-from .quadrature import adaptive_simpson, oscillation_panels
+from .quadrature import oscillation_simpson
 
 __all__ = [
     "PhaseRegion",
@@ -146,9 +146,9 @@ def angular_concentration_matrix(
     h = np.empty(cfg.elements, dtype=complex)
     h[0] = theta2 - theta1
     for i in range(1, cfg.elements):
-        panels = oscillation_panels(theta1, theta2, i, kd)
-        h[i] = adaptive_simpson(lambda t, i=i: cmath.exp(1j * i * kd * math.cos(t)), theta1, theta2,
-                                tol=tol, max_depth=30, initial_panels=panels)
+        h[i] = oscillation_simpson(
+            lambda t, i=i: cmath.exp(1j * i * kd * math.cos(t)), theta1, theta2, i, kd, tol=tol
+        )
     return ConcentrationMatrix(
         entries=_toeplitz_hermitian(h), bounds=(theta1, theta2), kd=kd, domain="angle"
     )
@@ -225,9 +225,7 @@ def min_eigenvalue(matrix) -> float:
     taper = extreme_concentration_taper(cfg, hi, most=False)
     if taper is None:
         return smallest
-    panels = oscillation_panels(lo, hi, cfg.elements, cfg.kd)
-    gain = gain_function(taper, cfg)
-    return adaptive_simpson(gain, lo, hi, tol=1e-12, max_depth=30, initial_panels=panels)
+    return oscillation_simpson(gain_function(taper, cfg), lo, hi, cfg.elements, cfg.kd, tol=1e-12)
 
 
 def is_toeplitz(entries) -> bool:

@@ -5,19 +5,11 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-__all__ = ["QuadratureError", "adaptive_simpson", "oscillation_panels"]
+__all__ = ["QuadratureError", "adaptive_simpson", "oscillation_simpson"]
 
 
 class QuadratureError(RuntimeError):
     """Tolerance was not reached before the subdivision depth limit."""
-
-
-def oscillation_panels(a: float, b: float, harmonic: int, kd: float) -> int:
-    """Initial panel count for an integrand of the phase that oscillates up to
-    ``harmonic`` * kd radians per unit: odd, at least 9, and enough that the
-    fastest oscillation is resolved."""
-    cycles = (b - a) * harmonic * kd / math.pi
-    return max(9, int(cycles) + 1) | 1
 
 
 def adaptive_simpson(
@@ -74,3 +66,13 @@ def _refine(f, a, fa, m, fm, b, fb, whole, tol, depth):
     return _refine(f, a, fa, lm, flm, m, fm, left, half, depth - 1) + _refine(
         f, m, fm, rm, frm, b, fb, right, half, depth - 1
     )
+
+
+def oscillation_simpson(
+    f: Callable[[float], complex], a: float, b: float, harmonic: int, kd: float, tol: float = 1e-9
+):
+    """:func:`adaptive_simpson` for an integrand that oscillates up to
+    ``harmonic * kd`` radians per unit: the initial panels (odd, at least 9)
+    resolve the fastest oscillation."""
+    cycles = (b - a) * harmonic * kd / math.pi
+    return adaptive_simpson(f, a, b, tol=tol, initial_panels=max(9, int(cycles) + 1) | 1)

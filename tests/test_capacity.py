@@ -400,6 +400,14 @@ class TestCompare:
                 est.outage[50.0],
             )
 
+    def test_precomputed_gains_must_match_sample_count(self):
+        v = dft_weights(5)
+        gains = _row_gains(FIG9, v, CFG5, 3_000, 5)
+        est = estimate_capacity(FIG9, v, CFG5, 3_000, 5, _gains=gains)
+        assert est == estimate_capacity(FIG9, v, CFG5, 3_000, 5)
+        with pytest.raises(ValueError, match="3000 draws, expected 5000"):
+            estimate_capacity(FIG9, v, CFG5, 5_000, 5, _gains=gains)
+
     def test_estimate_and_standalone_ops_agree_bitwise(self):
         v = dft_weights(5)
         est = estimate_capacity(FIG9, v, CFG5, 5_000, 19)
