@@ -1,20 +1,33 @@
-"""Write the frozen comparison tables that tests/test_golden.py diffs against.
+"""Write the frozen outputs that tests/test_golden.py diffs against.
 
-Each table is a reduced ``compare_synthesizers`` run on the 5-element
-half-wave array with the reference power budget (signal 1, total
-interference 0.6 over 6 interferers, noise 0.1) and 20k samples.  Run from
-the repository root against the source tree whose behaviour is to be frozen:
+Each comparison table is a reduced ``compare_synthesizers`` run on the
+5-element half-wave array with the reference power budget (signal 1, total
+interference 0.6 over 6 interferers, noise 0.1) and 20k samples.  The width
+search is the approximation and both bounds of the concentration design on
+the 8-element half-wave array in the angular domain, with one interferer
+carrying 0.6, so every figure in it is a quadrature over the angular band
+matrices.  Run from the repository root against the source tree whose
+behaviour is to be frozen (name fixtures to write only those):
 
-    PYTHONPATH=src python tests/golden/generate.py
+    PYTHONPATH=src python tests/golden/generate.py [angular width_search ...]
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
-from slepbeam.array_model import ArrayConfig
-from slepbeam.capacity import CapacityScenario, compare_synthesizers, write_comparison_csv
+from slepbeam.array_model import ArrayConfig, format_float
+from slepbeam.capacity import (
+    CapacityScenario,
+    capacity_approximation,
+    capacity_lower_bound,
+    capacity_upper_bound,
+    compare_synthesizers,
+    write_comparison_csv,
+)
 from slepbeam.concentration import PhaseRegion
+from slepbeam.synthesizers import slepian_weights
 
 HERE = Path(__file__).resolve().parent
 ELEMENTS = 5
@@ -39,11 +52,46 @@ def table(name: str):
     )
 
 
+WIDTH_ELEMENTS = 8
+WIDTHS = (0.05, 0.15, 0.3, 0.45, 0.6, 0.75, 0.85, 0.95)
+WIDTH_COLUMNS = ("half_width", "approx", "ub", "lb", "lb_diverged")
+
+
+def width_search() -> list[dict]:
+    cfg = ArrayConfig(WIDTH_ELEMENTS, 0.5)
+    rows = []
+    for w in WIDTHS:
+        scenario = CapacityScenario.equal_interferers(
+            1.0, 0.6, 0.1, PhaseRegion(half_width=w), n_interferers=1, domain="angular"
+        )
+        weights = slepian_weights(cfg, w).weights
+        lb = capacity_lower_bound(scenario, weights, cfg)
+        rows.append({
+            "half_width": w,
+            "approx": capacity_approximation(scenario, weights, cfg),
+            "ub": capacity_upper_bound(scenario, weights, cfg),
+            "lb": lb.value,
+            "lb_diverged": lb.diverged,
+        })
+    return rows
+
+
+def write_width_search(rows, out: Path) -> None:
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(WIDTH_COLUMNS) + "\n")
+        for row in rows:
+            fields = [format_float(row[c], 17) for c in WIDTH_COLUMNS[:-1]]
+            fh.write(",".join(fields + [str(row["lb_diverged"])]) + "\n")
+
+
 def path(name: str) -> Path:
     return HERE / f"{name}.csv"
 
 
 if __name__ == "__main__":
-    for name in TABLES:
-        write_comparison_csv(table(name), path(name))
+    for name in sys.argv[1:] or [*TABLES, "width_search"]:
+        if name == "width_search":
+            write_width_search(width_search(), path(name))
+        else:
+            write_comparison_csv(table(name), path(name))
         print(f"wrote {path(name)}")

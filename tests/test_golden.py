@@ -1,8 +1,10 @@
-"""Behaviour equivalence: comparison tables against frozen outputs.
+"""Behaviour equivalence: comparison tables and the width search against
+frozen outputs.
 
-The fixtures in tests/golden/ were written by tests/golden/generate.py from
-the source tree before the Horner gain kernel and the shared Monte Carlo
-path.  The Monte Carlo columns come from the same seeded uniforms, so they
+The fixtures in tests/golden/ were written by tests/golden/generate.py: the
+comparison tables from the source tree before the Horner gain kernel and the
+shared Monte Carlo path, the width search from the tree before the angular
+band entries were cached.  The Monte Carlo columns come from the same seeded uniforms, so they
 must agree to rounding; the lower bound goes through adaptive Simpson, whose
 panel decisions may flip on a last-bit change of the integrand, so it gets
 the quadrature tolerance.
@@ -51,3 +53,16 @@ def test_table_matches_golden(name, tmp_path):
             assert float(got[column]) == pytest.approx(float(want[column]), rel=0, abs=tol), (
                 f"{want['synthesizer']} {want['param']} {column}"
             )
+
+
+@pytest.mark.filterwarnings("ignore:top eigenvalue has near multiplicity")
+def test_width_search_matches_golden():
+    golden = _read(generate.path("width_search"))
+    fresh = generate.width_search()
+    assert [float(r["half_width"]) for r in golden] == [r["half_width"] for r in fresh]
+    for want, got in zip(golden, fresh):
+        assert str(got["lb_diverged"]) == want["lb_diverged"]
+        for column in ("approx", "ub", "lb"):
+            assert got[column] == pytest.approx(
+                float(want[column]), rel=0, abs=TOLERANCES[column]
+            ), f"{want['half_width']} {column}"
