@@ -405,12 +405,17 @@ def capacity_lower_bound(scenario, v, cfg) -> LowerBoundResult:
     the trivial value 0 and the flag is set instead of raising.
     """
     _check_nondegenerate_region(scenario)
+    return _lower_bound(scenario, v, cfg, lambda: _region_mean_gains(scenario, v, cfg)[1])
+
+
+def _lower_bound(scenario, v, cfg, mean_out) -> LowerBoundResult:
+    """:func:`capacity_lower_bound` with the out-of-band mean gain from
+    ``mean_out()``, which is not called when the bound diverges."""
     inv_gain_mean, diverged = _region_mean_inverse_gain(scenario, v, cfg)
     if diverged:
         return LowerBoundResult(0.0, True)
-    _, mean_out = _region_mean_gains(scenario, v, cfg)
     harmonic_signal = scenario.signal_power / inv_gain_mean
-    denominator = scenario.total_interference * mean_out + scenario.noise_power
+    denominator = scenario.total_interference * mean_out() + scenario.noise_power
     return LowerBoundResult(math.log2(1.0 + harmonic_signal / denominator), False)
 
 
@@ -443,7 +448,7 @@ def estimate_capacity(
     outage = {float(q): float(np.quantile(draws, q / 100.0)) for q in outage_quantiles}
     mean_in, mean_out = _region_mean_gains(scenario, v, cfg)
     inv_mean = _mean_inverse_noise_plus_interference(scenario, v, cfg, lambda: interference)
-    lower = capacity_lower_bound(scenario, v, cfg)
+    lower = _lower_bound(scenario, v, cfg, lambda: mean_out)
     return CapacityEstimates(
         mean=mean,
         stderr=stderr,

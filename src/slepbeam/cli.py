@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -152,6 +153,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_number(x: float) -> float | None:
+    """Strict JSON has no inf or nan: a non-finite figure is written as null."""
+    return x if math.isfinite(x) else None
+
+
 def _synthesize_weights(args) -> tuple[np.ndarray, dict]:
     cfg = ArrayConfig(args.elements, args.spacing)
     summary: dict = {
@@ -169,8 +175,8 @@ def _synthesize_weights(args) -> tuple[np.ndarray, dict]:
             half_width=args.half_width,
             center=args.center,
             lambda_max=result.lambda_max,
-            eigengap=result.eigengap,
-            quotient=result.quotient,
+            eigengap=_json_number(result.eigengap),
+            quotient=_json_number(result.quotient),
         )
         if args.center == 0.0:
             summary["symmetry_class"] = weight_symmetry_class(result)

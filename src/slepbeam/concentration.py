@@ -8,6 +8,7 @@ over and what the capacity bounds integrate against.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -136,12 +137,25 @@ def angular_concentration_matrix(
     """Band matrix integrated in the angle domain: entry (m, n) = integral of
     exp(1j*(n-m)*kd*cos(theta)) over [theta1, theta2].
 
-    The nested trig integrand has no closed form, so this is numeric (adaptive
-    Simpson to ``tol``) and computed on demand; callers wanting a lookup table
-    build their own on top.
+    The nested trig integrand has no closed form, so the Toeplitz entries are
+    numeric (adaptive Simpson to ``tol``).  Each distinct
+    ``(cfg, theta1, theta2, tol)`` is integrated once per process and kept in
+    a small least-recently-used cache, so the bounds of one band and the
+    visible [0, pi] matrix shared by every band are not integrated again;
+    every call returns a fresh matrix, which callers may modify.
     """
     if not 0.0 <= theta1 < theta2 <= math.pi + _BOUND_SLACK:
         raise ValueError(f"need 0 <= theta1 < theta2 <= pi, got [{theta1}, {theta2}]")
+    h = _angular_entries(cfg, theta1, theta2, tol)
+    return ConcentrationMatrix(
+        entries=_toeplitz_hermitian(h), bounds=(theta1, theta2), kd=cfg.kd, domain="angle"
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _angular_entries(cfg: ArrayConfig, theta1: float, theta2: float, tol: float) -> np.ndarray:
+    """First row of the angular band matrix, read-only: it is shared by every
+    caller of the same band."""
     kd = cfg.kd
     h = np.empty(cfg.elements, dtype=complex)
     h[0] = theta2 - theta1
@@ -149,9 +163,8 @@ def angular_concentration_matrix(
         h[i] = oscillation_simpson(
             lambda t, i=i: cmath.exp(1j * i * kd * math.cos(t)), theta1, theta2, i, kd, tol=tol
         )
-    return ConcentrationMatrix(
-        entries=_toeplitz_hermitian(h), bounds=(theta1, theta2), kd=kd, domain="angle"
-    )
+    h.flags.writeable = False
+    return h
 
 
 def commuting_tridiagonal(elements: int, w_norm: float) -> np.ndarray:

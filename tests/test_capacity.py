@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from slepbeam import capacity as capacity_module
 from slepbeam.array_model import ArrayConfig, directivity_gain
 from slepbeam.capacity import (
     COMPARISON_CSV_HEADER,
@@ -416,3 +417,24 @@ class TestCompare:
         assert capacity_upper_bound(FIG9, v, CFG5, 5_000, 19) == est.upper_bound
         lb = capacity_lower_bound(FIG9, v, CFG5)
         assert lb.value == est.lower_bound
+
+    @pytest.mark.parametrize("domain, spacing", [("phase", 0.4), ("phase", 0.5), ("angular", 0.5)])
+    def test_estimate_evaluates_region_mean_gains_once(self, monkeypatch, domain, spacing):
+        """The lower bound reuses the estimate's out-of-band mean gain, and
+        gives what the standalone bound gives, bit for bit."""
+        cfg = ArrayConfig(6, spacing)
+        scenario = replace(FIG9, domain=domain)
+        v = slepian_weights(cfg, 0.2).weights
+        lb = capacity_lower_bound(scenario, v, cfg)
+        calls = []
+        original = capacity_module._region_mean_gains
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(capacity_module, "_region_mean_gains", counted)
+        est = estimate_capacity(scenario, v, cfg, 3_000, 2)
+        assert len(calls) == 1
+        assert (est.lower_bound, est.lower_bound_diverged) == (lb.value, lb.diverged)
+        assert not lb.diverged

@@ -31,6 +31,21 @@ class TestSynthesize:
         summary = json.loads((tmp_path / "w.csv.summary.json").read_text())
         assert summary["quotient"] == pytest.approx(2.5695326597, rel=1e-9)
 
+    @pytest.mark.filterwarnings("ignore:out-of-band energy below rounding")
+    @pytest.mark.filterwarnings("ignore:top eigenvalue has near multiplicity")
+    @pytest.mark.parametrize("elements, half_width, field", [(16, 0.9, "quotient"), (1, 0.3, "eigengap")])
+    def test_summary_writes_non_finite_as_null(self, tmp_path, elements, half_width, field):
+        out = tmp_path / "w.csv"
+        assert run(["synthesize", "--elements", elements, "--half-width", half_width,
+                    "--output", out]) == 0
+        text = (tmp_path / "w.csv.summary.json").read_text()
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        summary = json.loads(text, parse_constant=reject)
+        assert summary[field] is None
+
     def test_degenerate_width_exits_2(self, tmp_path, capsys):
         code = run(["synthesize", "--elements", 5, "--half-width", 0,
                     "--output", tmp_path / "w.csv"])

@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slepbeam import concentration
 from slepbeam.array_model import ArrayConfig
+from slepbeam.capacity import (
+    CapacityScenario,
+    capacity_approximation,
+    capacity_lower_bound,
+    capacity_upper_bound,
+    estimate_capacity,
+)
 from slepbeam.concentration import (
     PhaseRegion,
+    _angular_entries,
     angular_concentration_matrix,
     concentration_matrix,
     extreme_concentration_taper,
@@ -19,6 +28,7 @@ from slepbeam.concentration import (
     sinc,
 )
 from slepbeam.linalg import eigh_hermitian, eigh_symmetric
+from slepbeam.synthesizers import slepian_weights
 
 CFG5 = ArrayConfig(5, 0.5)
 
@@ -174,6 +184,57 @@ class TestAngularMatrix:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             angular_concentration_matrix(CFG5, 1.0, 0.5)
+
+
+class TestAngularEntryCache:
+    def test_cached_entries_equal_a_cold_build_bitwise(self):
+        angular_concentration_matrix(CFG5, 0.4, 1.9)
+        cached = angular_concentration_matrix(CFG5, 0.4, 1.9)
+        _angular_entries.cache_clear()
+        cold = angular_concentration_matrix(CFG5, 0.4, 1.9)
+        assert np.array_equal(cached.entries, cold.entries)
+        assert cached.bounds == cold.bounds and cached.domain == cold.domain == "angle"
+
+    def test_returned_matrix_does_not_alias_the_cache(self):
+        first = angular_concentration_matrix(CFG5, 0.4, 1.9)
+        want = first.entries.copy()
+        first.entries[:] = 7.0
+        assert np.array_equal(angular_concentration_matrix(CFG5, 0.4, 1.9).entries, want)
+        assert not _angular_entries(CFG5, 0.4, 1.9, 1e-10).flags.writeable
+
+    @pytest.mark.parametrize(
+        "theta1, theta2", [(1.0, 0.5), (0.7, 0.7), (-0.1, 1.0), (0.0, 3.5), (math.nan, 1.0)]
+    )
+    def test_bad_bounds_raise_on_every_call(self, theta1, theta2):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="theta1"):
+                angular_concentration_matrix(CFG5, theta1, theta2)
+
+    def test_one_width_integrates_its_band_once(self, monkeypatch):
+        """approx, both bounds and the full estimate on one angular band run
+        M-1 entry integrals for that band and none for a warm [0, pi]."""
+        cfg = ArrayConfig(8, 0.5)
+        half_width = 0.37
+        _angular_entries.cache_clear()
+        angular_concentration_matrix(cfg, 0.0, math.pi)
+        calls = []
+        original = concentration.oscillation_simpson
+
+        def counted(f, a, b, *args, **kwargs):
+            calls.append((a, b))
+            return original(f, a, b, *args, **kwargs)
+
+        monkeypatch.setattr(concentration, "oscillation_simpson", counted)
+        scenario = CapacityScenario.equal_interferers(
+            1.0, 0.6, 0.1, PhaseRegion(half_width), n_interferers=1, domain="angular"
+        )
+        v = slepian_weights(cfg, half_width).weights
+        capacity_approximation(scenario, v, cfg)
+        capacity_upper_bound(scenario, v, cfg)
+        capacity_lower_bound(scenario, v, cfg)
+        estimate_capacity(scenario, v, cfg, n_samples=2000)
+        band = (math.acos(half_width), math.acos(-half_width))
+        assert calls == [band] * (cfg.elements - 1)
 
 
 class TestMinEigenvalue:

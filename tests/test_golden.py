@@ -56,6 +56,7 @@ def test_table_matches_golden(name, tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:top eigenvalue has near multiplicity")
+@pytest.mark.filterwarnings("ignore:out-of-band energy below rounding")
 def test_width_search_matches_golden():
     golden = _read(generate.path("width_search"))
     fresh = generate.width_search()

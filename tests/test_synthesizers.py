@@ -81,6 +81,24 @@ class TestSlepianWeights:
         assert result.quotient == pytest.approx(in_band / (energy(-1.0, 1.0) - in_band), rel=1e-12)
         assert result.quotient == pytest.approx(2.5695326597, rel=1e-9)
 
+    @pytest.mark.parametrize("elements, half_width", [(16, 0.9), (12, 0.9), (8, 0.98)])
+    def test_quotient_below_rounding_is_inf(self, elements, half_width):
+        """The out-of-band energy e_vis - lambda is below rounding here; the
+        difference of the rounded energies is noise of either sign."""
+        with pytest.warns(UserWarning, match="below rounding"):
+            result = slepian_weights(ArrayConfig(elements, 0.5), half_width)
+        assert result.quotient == math.inf
+
+    @pytest.mark.filterwarnings("ignore:out-of-band energy below rounding")
+    @pytest.mark.filterwarnings("ignore:top eigenvalue has near multiplicity")
+    @pytest.mark.parametrize("elements", [5, 8, 16])
+    def test_quotient_grows_with_width_until_inf(self, elements):
+        cfg = ArrayConfig(elements, 0.5)
+        quotients = [slepian_weights(cfg, float(w)).quotient for w in np.linspace(0.05, 0.99, 60)]
+        finite = [q for q in quotients if math.isfinite(q)]
+        assert finite[0] > 0 and np.all(np.diff(finite) > 0)
+        assert quotients[len(finite):] == [math.inf] * (len(quotients) - len(finite))
+
     def test_in_band_power_equals_lambda_max(self):
         for width in (0.1, 0.3, 0.5):
             result = slepian_weights(CFG5, width)
