@@ -140,9 +140,9 @@ def angular_concentration_matrix(
     The nested trig integrand has no closed form, so the Toeplitz entries are
     numeric (adaptive Simpson to ``tol``).  Each distinct
     ``(cfg, theta1, theta2, tol)`` is integrated once per process and kept in
-    a small least-recently-used cache, so the bounds of one band and the
-    visible [0, pi] matrix shared by every band are not integrated again;
-    every call returns a fresh matrix, which callers may modify.
+    a small least-recently-used cache, so the capacity bounds of one band and
+    the visible [0, pi] matrix that every band shares are not integrated
+    again; every call returns a fresh matrix, which callers may modify.
     """
     if not 0.0 <= theta1 < theta2 <= math.pi + _BOUND_SLACK:
         raise ValueError(f"need 0 <= theta1 < theta2 <= pi, got [{theta1}, {theta2}]")

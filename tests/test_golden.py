@@ -4,10 +4,10 @@ frozen outputs.
 The fixtures in tests/golden/ were written by tests/golden/generate.py: the
 comparison tables from the source tree before the Horner gain kernel and the
 shared Monte Carlo path, the width search from the tree before the angular
-band entries were cached.  The Monte Carlo columns come from the same seeded uniforms, so they
-must agree to rounding; the lower bound goes through adaptive Simpson, whose
-panel decisions may flip on a last-bit change of the integrand, so it gets
-the quadrature tolerance.
+band entries were cached.  The Monte Carlo columns come from the same seeded
+uniforms, so they must agree to rounding; the lower bound goes through
+adaptive Simpson, whose panel decisions may flip on a last-bit change of the
+integrand, so it gets the quadrature tolerance.
 """
 
 from __future__ import annotations
