@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from slepbeam.array_model import ArrayConfig
+from slepbeam.array_model import ArrayConfig, format_float
 from slepbeam.synthesizers import binomial_weights, dft_weights, slepian_weights
 
 
@@ -35,11 +35,11 @@ def main() -> int:
         warnings.simplefilter("ignore")  # the W -> 1 edge is degenerate by design
         for width in widths:
             weights = slepian_weights(cfg, float(width)).weights
-            lines.append(",".join(f"{x:.17g}" for x in [width, *weights]))
+            lines.append(",".join(format_float(x) for x in [width, *weights]))
     uniform = dft_weights(args.elements)
     pascal = binomial_weights(args.elements)
-    lines.append("# uniform taper: " + ",".join(f"{x:.17g}" for x in uniform))
-    lines.append("# pascal taper:  " + ",".join(f"{x:.17g}" for x in pascal))
+    lines.append("# uniform taper: " + ",".join(format_float(x) for x in uniform))
+    lines.append("# pascal taper:  " + ",".join(format_float(x) for x in pascal))
     Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {args.output} ({args.points} widths, M={args.elements})")
     return 0

@@ -8,7 +8,6 @@ from .array_model import (  # noqa: E402
     angle_to_phase,
     array_factor,
     band_power,
-    default_grid,
     directivity_gain,
     pattern_nulls,
     phase_to_angle,
@@ -56,7 +55,6 @@ from .linalg import (  # noqa: E402
     cholesky,
     eigh_hermitian,
     eigh_symmetric,
-    generalized_max_eigvec,
     quadratic_form,
 )
 from .quadrature import QuadratureError, adaptive_simpson  # noqa: E402

@@ -28,7 +28,6 @@ __all__ = [
     "angle_to_phase",
     "phase_to_angle",
     "pattern_nulls",
-    "default_grid",
     "format_float",
     "write_pattern_csv",
     "PATTERN_CSV_HEADER",
@@ -236,25 +235,18 @@ def pattern_nulls(v, cfg: ArrayConfig, a: float, b: float, circle_tol: float = 1
     return sorted(nulls)
 
 
-def default_grid(points: int = 2001) -> np.ndarray:
-    """Uniform phase grid over [-1, 1] with both endpoints included exactly."""
-    if points < 2:
-        raise ValueError("need at least 2 grid points")
-    return np.linspace(-1.0, 1.0, points)
-
-
 PATTERN_CSV_HEADER = "s,theta_rad,af_re,af_im,gain"
 
 
-def format_float(x: float, precision: int = 17) -> str:
+def format_float(x: float) -> str:
     """The one float format of every writer; 17 significant digits round-trip
     doubles losslessly."""
-    return format(float(x), f".{precision}g")
+    return format(float(x), ".17g")
 
 
-def write_pattern_csv(samples, path, precision: int = 17) -> None:
+def write_pattern_csv(samples, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(PATTERN_CSV_HEADER + "\n")
         for smp in samples:
             fields = (smp.s, smp.theta, smp.af.real, smp.af.imag, smp.gain)
-            fh.write(",".join(format_float(x, precision) for x in fields) + "\n")
+            fh.write(",".join(format_float(x) for x in fields) + "\n")

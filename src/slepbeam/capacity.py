@@ -47,7 +47,7 @@ __all__ = [
     "CapacityScenario",
     "CapacityEstimates",
     "LowerBoundResult",
-    "OrderingCheck",
+    "CheckResult",
     "OrderingReport",
     "ComparisonRow",
     "capacity_sample",
@@ -461,7 +461,9 @@ def estimate_capacity(
 
 
 @dataclass(frozen=True)
-class OrderingCheck:
+class CheckResult:
+    """One named check of an ordering report or a validation run."""
+
     name: str
     passed: bool
     detail: str
@@ -470,14 +472,14 @@ class OrderingCheck:
 @dataclass(frozen=True)
 class OrderingReport:
     estimates: CapacityEstimates
-    checks: tuple[OrderingCheck, ...]
+    checks: tuple[CheckResult, ...]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     @property
-    def failures(self) -> list[OrderingCheck]:
+    def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
 
@@ -490,27 +492,27 @@ def verify_ordering(scenario, v, cfg, n_samples: int = 100_000, seed: int = 0) -
     gap_lb = abs(est.mean - est.lower_bound)
     approx_err = abs(est.approximation - est.mean)
     checks = (
-        OrderingCheck(
+        CheckResult(
             "upper_bound >= approximation",
             est.upper_bound >= est.approximation,
             f"{est.upper_bound:.6f} vs {est.approximation:.6f}",
         ),
-        OrderingCheck(
+        CheckResult(
             "approximation >= lower_bound",
             est.approximation >= est.lower_bound,
             f"{est.approximation:.6f} vs {est.lower_bound:.6f}",
         ),
-        OrderingCheck(
+        CheckResult(
             "mc_mean <= upper_bound + 3*stderr",
             est.mean <= est.upper_bound + slack,
             f"{est.mean:.6f} vs {est.upper_bound:.6f} + {slack:.6f}",
         ),
-        OrderingCheck(
+        CheckResult(
             "mc_mean >= lower_bound - 3*stderr",
             est.mean >= est.lower_bound - slack,
             f"{est.mean:.6f} vs {est.lower_bound:.6f} - {slack:.6f}",
         ),
-        OrderingCheck(
+        CheckResult(
             "approximation no worse than the worse bound",
             approx_err <= max(gap_ub, gap_lb) + slack,
             f"|approx - mean| = {approx_err:.6f}, worse bound gap = {max(gap_ub, gap_lb):.6f}",
@@ -600,11 +602,11 @@ def _row(name: str, param, est: CapacityEstimates) -> ComparisonRow:
 COMPARISON_CSV_HEADER = "synthesizer,param,mean,stderr,ub,lb,approx,outage50"
 
 
-def write_comparison_csv(rows, path, precision: int = 17) -> None:
+def write_comparison_csv(rows, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(COMPARISON_CSV_HEADER + "\n")
         for row in rows:
-            param = "" if row.param is None else format_float(row.param, precision)
+            param = "" if row.param is None else format_float(row.param)
             values = (row.mean, row.stderr, row.ub, row.lb, row.approx, row.outage50)
-            fields = [row.synthesizer, param] + [format_float(x, precision) for x in values]
+            fields = [row.synthesizer, param] + [format_float(x) for x in values]
             fh.write(",".join(fields) + "\n")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .array_model import ArrayConfig, default_grid, sample_pattern, write_pattern_csv
+from .array_model import ArrayConfig, sample_pattern, write_pattern_csv
 from .capacity import (
     CapacityScenario,
     compare_synthesizers,
@@ -94,7 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument(
         "--dump-band-matrix", help="also write the band matrix as debug JSON"
     )
-    p_syn.add_argument("--precision", type=int, default=17)
 
     p_pat = sub.add_parser("pattern", help="sample a radiation pattern to CSV")
     _add_array_flags(p_pat)
@@ -113,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pat.add_argument("--start", type=float, default=-1.0)
     p_pat.add_argument("--stop", type=float, default=1.0)
     p_pat.add_argument("--output", default="pattern.csv")
-    p_pat.add_argument("--precision", type=int, default=17)
 
     p_cap = sub.add_parser("capacity", help="synthesizer capacity comparison table")
     _add_array_flags(p_cap)
@@ -129,7 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--w-grid", type=_parse_float_list, default=None)
     p_cap.add_argument("--att-grid", type=_parse_float_list, default=None)
     p_cap.add_argument("--output", default="comparison.csv")
-    p_cap.add_argument("--precision", type=int, default=17)
 
     p_book = sub.add_parser("codebook", help="build or validate a codebook")
     mode = p_book.add_mutually_exclusive_group(required=True)
@@ -138,7 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_book.add_argument("--elements", type=int)
     p_book.add_argument("--spacing", type=float, default=0.5)
     p_book.add_argument("--output", default="codebook.json")
-    p_book.add_argument("--precision", type=int, default=17)
 
     p_ver = sub.add_parser("verify", help="run the invariant suites")
     p_ver.add_argument("--max-elements", type=int, default=10)
@@ -194,7 +190,7 @@ def _synthesize_weights(args) -> tuple[np.ndarray, dict]:
 def _cmd_synthesize(args) -> int:
     weights, summary = _synthesize_weights(args)
     out = _out_path(args.output)
-    write_weights_csv(weights, out, precision=args.precision)
+    write_weights_csv(weights, out)
     summary_path = (
         _out_path(args.summary) if args.summary else out.with_suffix(out.suffix + ".summary.json")
     )
@@ -203,9 +199,7 @@ def _cmd_synthesize(args) -> int:
         if args.type != "slepian":
             raise ValueError("--dump-band-matrix applies to the slepian synthesizer")
         matrix = concentration_matrix(ArrayConfig(args.elements, args.spacing), args.half_width)
-        _out_path(args.dump_band_matrix).write_text(
-            matrix_debug_json(matrix, precision=args.precision), encoding="utf-8"
-        )
+        _out_path(args.dump_band_matrix).write_text(matrix_debug_json(matrix), encoding="utf-8")
     print(f"wrote {out} and {summary_path}")
     return 0
 
@@ -225,13 +219,9 @@ def _cmd_pattern(args) -> int:
         raise ValueError("need at least 2 grid points")
     if not args.start < args.stop:
         raise ValueError("--start must be below --stop")
-    if args.points == 2001 and args.start == -1.0 and args.stop == 1.0:
-        grid = default_grid()
-    else:
-        grid = np.linspace(args.start, args.stop, args.points)
-    samples = sample_pattern(weights, cfg, grid)
+    samples = sample_pattern(weights, cfg, np.linspace(args.start, args.stop, args.points))
     out = _out_path(args.output)
-    write_pattern_csv(samples, out, precision=args.precision)
+    write_pattern_csv(samples, out)
     print(f"wrote {out} ({len(samples)} samples)")
     return 0
 
@@ -256,7 +246,7 @@ def _cmd_capacity(args) -> int:
     att_grid = args.att_grid if args.att_grid is not None else DEFAULT_ATT_GRID
     rows = compare_synthesizers(cfg, scenario, w_grid, att_grid, args.samples, args.seed)
     out = _out_path(args.output)
-    write_comparison_csv(rows, out, precision=args.precision)
+    write_comparison_csv(rows, out)
     meta = {
         "elements": args.elements,
         "spacing": args.spacing,
@@ -292,7 +282,7 @@ def _cmd_codebook(args) -> int:
     cfg = ArrayConfig(args.elements, args.spacing)
     book = build_codebook(cfg, args.regions)
     out = _out_path(args.output)
-    save_codebook(book, out, precision=args.precision)
+    save_codebook(book, out)
     print(f"wrote {out} ({book.n_regions} codewords)")
     return 0
 

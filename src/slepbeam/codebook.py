@@ -93,18 +93,16 @@ def best_codeword(book: Codebook, s: float) -> int:
     return min(bisect_left(uppers, s), len(uppers) - 1)
 
 
-def save_codebook(book: Codebook, path, precision: int = 17) -> None:
-    """Write the fixed-order JSON schema; 17 significant digits round-trip
-    doubles losslessly."""
+def save_codebook(book: Codebook, path) -> None:
+    """Write the fixed-order JSON schema."""
     regions = ",".join(
-        f'{{"center":{format_float(r.center, precision)},'
-        f'"half_width":{format_float(r.half_width, precision)}}}'
+        f'{{"center":{format_float(r.center)},"half_width":{format_float(r.half_width)}}}'
         for r in book.regions
     )
     codewords = ",".join(
         "["
         + ",".join(
-            f'{{"re":{format_float(z.real, precision)},"im":{format_float(z.imag, precision)}}}'
+            f'{{"re":{format_float(z.real)},"im":{format_float(z.imag)}}}'
             for z in np.asarray(cw, dtype=complex)
         )
         + "]"
@@ -113,7 +111,7 @@ def save_codebook(book: Codebook, path, precision: int = 17) -> None:
     metadata = json.dumps(book.metadata, sort_keys=True)
     text = (
         f'{{"version":1,"M":{book.config.elements},'
-        f'"d_over_lambda":{format_float(book.config.spacing_ratio, precision)},'
+        f'"d_over_lambda":{format_float(book.config.spacing_ratio)},'
         f'"regions":[{regions}],"codewords":[{codewords}],'
         f'"metadata":{metadata}}}'
     )

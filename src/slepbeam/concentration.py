@@ -28,8 +28,6 @@ __all__ = [
     "commuting_tridiagonal",
     "extreme_concentration_taper",
     "min_eigenvalue",
-    "is_toeplitz",
-    "is_centrosymmetric",
     "matrix_debug_json",
 ]
 
@@ -89,10 +87,6 @@ class ConcentrationMatrix:
     def order(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def provenance(self) -> str:
-        return f"{self.domain}[{self.bounds[0]:.6g}, {self.bounds[1]:.6g}] @ kd={self.kd:.6g}"
-
 
 def _toeplitz_hermitian(h: np.ndarray) -> np.ndarray:
     n = h.size
@@ -132,28 +126,28 @@ def interval_concentration_matrix(cfg: ArrayConfig, a: float, b: float) -> Conce
 
 
 def angular_concentration_matrix(
-    cfg: ArrayConfig, theta1: float, theta2: float, tol: float = 1e-10
+    cfg: ArrayConfig, theta1: float, theta2: float
 ) -> ConcentrationMatrix:
     """Band matrix integrated in the angle domain: entry (m, n) = integral of
     exp(1j*(n-m)*kd*cos(theta)) over [theta1, theta2].
 
     The nested trig integrand has no closed form, so the Toeplitz entries are
-    numeric (adaptive Simpson to ``tol``).  Each distinct
-    ``(cfg, theta1, theta2, tol)`` is integrated once per process and kept in
+    numeric (adaptive Simpson to 1e-10).  Each distinct
+    ``(cfg, theta1, theta2)`` is integrated once per process and kept in
     a small least-recently-used cache, so the capacity bounds of one band and
     the visible [0, pi] matrix that every band shares are not integrated
     again; every call returns a fresh matrix, which callers may modify.
     """
     if not 0.0 <= theta1 < theta2 <= math.pi + _BOUND_SLACK:
         raise ValueError(f"need 0 <= theta1 < theta2 <= pi, got [{theta1}, {theta2}]")
-    h = _angular_entries(cfg, theta1, theta2, tol)
+    h = _angular_entries(cfg, theta1, theta2)
     return ConcentrationMatrix(
         entries=_toeplitz_hermitian(h), bounds=(theta1, theta2), kd=cfg.kd, domain="angle"
     )
 
 
 @functools.lru_cache(maxsize=64)
-def _angular_entries(cfg: ArrayConfig, theta1: float, theta2: float, tol: float) -> np.ndarray:
+def _angular_entries(cfg: ArrayConfig, theta1: float, theta2: float) -> np.ndarray:
     """First row of the angular band matrix, read-only: it is shared by every
     caller of the same band."""
     kd = cfg.kd
@@ -161,7 +155,7 @@ def _angular_entries(cfg: ArrayConfig, theta1: float, theta2: float, tol: float)
     h[0] = theta2 - theta1
     for i in range(1, cfg.elements):
         h[i] = oscillation_simpson(
-            lambda t, i=i: cmath.exp(1j * i * kd * math.cos(t)), theta1, theta2, i, kd, tol=tol
+            lambda t, i=i: cmath.exp(1j * i * kd * math.cos(t)), theta1, theta2, i, kd, tol=1e-10
         )
     h.flags.writeable = False
     return h
@@ -241,19 +235,9 @@ def min_eigenvalue(matrix) -> float:
     return oscillation_simpson(gain_function(taper, cfg), lo, hi, cfg.elements, cfg.kd, tol=1e-12)
 
 
-def is_toeplitz(entries) -> bool:
-    a = np.asarray(entries)
-    return bool(np.array_equal(a[:-1, :-1], a[1:, 1:]))
-
-
-def is_centrosymmetric(entries) -> bool:
-    a = np.asarray(entries)
-    return bool(np.array_equal(a, a[::-1, ::-1]))
-
-
-def matrix_debug_json(matrix: ConcentrationMatrix, precision: int = 17) -> str:
+def matrix_debug_json(matrix: ConcentrationMatrix) -> str:
     """Debug serialization: {"order":M,"entries_re":[...],"entries_im":[...]}."""
     entries = np.asarray(matrix.entries, dtype=complex).ravel()
-    re = ",".join(format_float(z.real, precision) for z in entries)
-    im = ",".join(format_float(z.imag, precision) for z in entries)
+    re = ",".join(format_float(z.real) for z in entries)
+    im = ",".join(format_float(z.imag) for z in entries)
     return f'{{"order":{matrix.order},"entries_re":[{re}],"entries_im":[{im}]}}'

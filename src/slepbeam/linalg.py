@@ -17,14 +17,12 @@ __all__ = [
     "ConvergenceError",
     "NotPositiveDefiniteError",
     "EigenDecomposition",
-    "symmetrize",
     "hermitize",
     "eigh_symmetric",
     "eigh_hermitian",
     "cholesky",
     "quadratic_form",
     "generalized_eigh",
-    "generalized_max_eigvec",
 ]
 
 SWEEP_LIMIT = 100
@@ -44,15 +42,6 @@ class NotPositiveDefiniteError(ValueError):
 def _require_square(a: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-
-
-def symmetrize(entries) -> np.ndarray:
-    """Real square matrix with the upper triangle mirrored onto the lower."""
-    a = np.array(entries, dtype=float)
-    _require_square(a)
-    i, j = np.tril_indices(a.shape[0], -1)
-    a[i, j] = a[j, i]
-    return a
 
 
 def hermitize(entries) -> np.ndarray:
@@ -80,20 +69,19 @@ class EigenDecomposition:
 
 def eigh_symmetric(matrix) -> EigenDecomposition:
     """Full eigendecomposition of an exactly symmetric real matrix."""
-    a = np.array(matrix, dtype=float)
-    _require_square(a)
-    if not np.array_equal(a, a.T):
-        raise ValueError("matrix is not exactly symmetric")
-    values, vectors = _jacobi(a)
-    return _ordered(values, vectors)
+    return _eigh(matrix, float, "symmetric")
 
 
 def eigh_hermitian(matrix) -> EigenDecomposition:
     """Full eigendecomposition of an exactly Hermitian complex matrix."""
-    a = np.array(matrix, dtype=complex)
+    return _eigh(matrix, complex, "Hermitian")
+
+
+def _eigh(matrix, dtype, word: str) -> EigenDecomposition:
+    a = np.array(matrix, dtype=dtype)
     _require_square(a)
     if not np.array_equal(a, a.conj().T):
-        raise ValueError("matrix is not exactly Hermitian")
+        raise ValueError(f"matrix is not exactly {word}")
     values, vectors = _jacobi(a)
     return _ordered(values, vectors)
 
@@ -247,9 +235,3 @@ def generalized_eigh(a, b) -> tuple[np.ndarray, np.ndarray]:
     # Column eigenvectors maximize u^H A u; the row form v A v^H needs conj(u).
     vectors = _fix_signs(raw.conj())
     return dec.eigenvalues.copy(), vectors
-
-
-def generalized_max_eigvec(a, b) -> tuple[float, np.ndarray]:
-    """Maximizer of (v A v^H) / (v B v^H) over unit-norm v, with its value."""
-    values, vectors = generalized_eigh(a, b)
-    return float(values[0]), vectors[:, 0].copy()

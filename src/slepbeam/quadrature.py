@@ -7,6 +7,8 @@ from typing import Callable
 
 __all__ = ["QuadratureError", "adaptive_simpson", "oscillation_simpson"]
 
+_MAX_DEPTH = 30
+
 
 class QuadratureError(RuntimeError):
     """Tolerance was not reached before the subdivision depth limit."""
@@ -17,7 +19,6 @@ def adaptive_simpson(
     a: float,
     b: float,
     tol: float = 1e-9,
-    max_depth: int = 30,
     initial_panels: int = 9,
 ):
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
@@ -26,9 +27,9 @@ def adaptive_simpson(
     oscillatory integrands are sampled below their shortest period before the
     dyadic refinement starts (a single symmetric panel can alias a trig
     polynomial into a spuriously converged estimate).  Each panel gets a
-    proportional share of the tolerance budget.  Complex integrands are
-    supported; the acceptance test is on the magnitude of the Richardson
-    residual.
+    proportional share of the tolerance budget and is bisected at most 30
+    levels deep.  Complex integrands are supported; the acceptance test is on
+    the magnitude of the Richardson residual.
     """
     if not b > a:
         raise ValueError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
@@ -42,7 +43,7 @@ def adaptive_simpson(
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-        total += _refine(f, lo, flo, mid, fmid, hi, fhi, whole, panel_tol, max_depth)
+        total += _refine(f, lo, flo, mid, fmid, hi, fhi, whole, panel_tol, _MAX_DEPTH)
     return total
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArrayConfig, band_power, format_float
+from .array_model import ArrayConfig, band_power, format_float, steering_vector
 from .concentration import (
     PhaseRegion,
     concentration_matrix,
@@ -51,6 +51,7 @@ _EIGENGAP_WARN = 1e-12
 # an out-of-band energy within this fraction of the visible energy is rounding
 _ROUNDING_ENERGY = 64 * np.finfo(float).eps
 _LIMIT_SLACK = 1e-12
+_SYMMETRY_TOL = 1e-9
 
 
 class DegenerateWidthError(ValueError):
@@ -185,8 +186,7 @@ def steer(result: SynthesisResult, center: float) -> np.ndarray:
         raise SteeringLimitError("steer expects a broadside design (region center 0)")
     cfg = result.config
     _check_steering_limits(cfg, result.region.half_width, center)
-    ramp = np.exp(1j * cfg.kd * float(center) * np.arange(cfg.elements))
-    return result.weights * ramp
+    return result.weights * steering_vector(cfg, -center)
 
 
 def slepian_weights_general(cfg: ArrayConfig, region: PhaseRegion) -> SynthesisResult:
@@ -242,9 +242,8 @@ def slepian_weights_general(cfg: ArrayConfig, region: PhaseRegion) -> SynthesisR
             f"top generalized eigenvalue has near multiplicity (gap {gap:.3e})",
             stacklevel=2,
         )
-    ramp = np.exp(1j * cfg.kd * center * np.arange(m))
     return SynthesisResult(
-        weights=vectors[:, 0] * ramp,
+        weights=vectors[:, 0] * steering_vector(cfg, -center),
         lambda_max=top,
         eigengap=gap,
         region=region,
@@ -312,13 +311,14 @@ def _predicted_symmetry(cfg: ArrayConfig, half_width: float) -> str:
     return "symmetric" if sinc(cfg.kd * half_width) >= 0.0 else "skew_symmetric"
 
 
-def weight_symmetry_class(result: SynthesisResult, tol: float = 1e-9) -> str:
+def weight_symmetry_class(result: SynthesisResult) -> str:
     """Classify broadside weights as ``symmetric`` or ``skew_symmetric``.
 
     Centrosymmetry of the band matrix forces one of the two classes; the
     alternating rule (odd M, or even M with sinc(kd*W) >= 0, is symmetric)
     is checked against the actual reversal and a contradiction is reported
-    as a warning since the rule is a conjecture for this matrix family.
+    as a warning since the rule is a conjecture for this matrix family.  A
+    class holds when the reversal matches to 1e-9.
     """
     x = np.asarray(result.weights)
     if np.iscomplexobj(x):
@@ -330,13 +330,13 @@ def weight_symmetry_class(result: SynthesisResult, tol: float = 1e-9) -> str:
     reversed_x = x[::-1]
     d_sym = float(np.max(np.abs(x - reversed_x)))
     d_skew = float(np.max(np.abs(x + reversed_x)))
-    if d_sym <= tol:
+    if d_sym <= _SYMMETRY_TOL:
         measured = "symmetric"
-    elif d_skew <= tol:
+    elif d_skew <= _SYMMETRY_TOL:
         measured = "skew_symmetric"
     else:
         raise SymmetryClassError(
-            f"weights are neither symmetric nor skew-symmetric within {tol:g}: "
+            f"weights are neither symmetric nor skew-symmetric within {_SYMMETRY_TOL:g}: "
             f"|x - rev| = {d_sym:.3e}, |x + rev| = {d_skew:.3e}"
         )
     predicted = _predicted_symmetry(result.config, result.region.half_width)
@@ -353,12 +353,12 @@ def weight_symmetry_class(result: SynthesisResult, tol: float = 1e-9) -> str:
 WEIGHTS_CSV_HEADER = "index,amplitude,phase_rad,re,im"
 
 
-def write_weights_csv(weights, path, precision: int = 17) -> None:
+def write_weights_csv(weights, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(WEIGHTS_CSV_HEADER + "\n")
         for idx, z in enumerate(np.asarray(weights, dtype=complex)):
             fields = (abs(z), math.atan2(z.imag, z.real), z.real, z.imag)
-            fh.write(",".join([str(idx)] + [format_float(x, precision) for x in fields]) + "\n")
+            fh.write(",".join([str(idx)] + [format_float(x) for x in fields]) + "\n")
 
 
 def read_weights_csv(path) -> np.ndarray:

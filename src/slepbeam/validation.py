@@ -14,19 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .array_model import ArrayConfig, array_factor, band_power
-from .capacity import CapacityScenario, verify_ordering
+from .capacity import CapacityScenario, CheckResult, verify_ordering
 from .concentration import PhaseRegion, concentration_matrix, min_eigenvalue
 from .linalg import eigh_symmetric
 from .synthesizers import binomial_weights, dft_weights, slepian_weights
 
-__all__ = ["CheckResult", "ValidationReport", "run_validation"]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+__all__ = ["ValidationReport", "run_validation"]
 
 
 @dataclass(frozen=True)

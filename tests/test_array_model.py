@@ -11,7 +11,6 @@ from slepbeam.array_model import (
     angle_to_phase,
     array_factor,
     band_power,
-    default_grid,
     directivity_gain,
     gain_function,
     pattern_nulls,
@@ -273,7 +272,7 @@ def test_gain_nonnegative(elements, seed):
 class TestCsvExport:
     def test_header_and_round_trip_values(self, tmp_path):
         path = tmp_path / "pattern.csv"
-        samples = sample_pattern(dft_weights(5), CFG5, default_grid(101))
+        samples = sample_pattern(dft_weights(5), CFG5, np.linspace(-1.0, 1.0, 101))
         write_pattern_csv(samples, path)
         lines = path.read_text().splitlines()
         assert lines[0] == PATTERN_CSV_HEADER
@@ -281,7 +280,3 @@ class TestCsvExport:
         first = lines[1].split(",")
         assert float(first[0]) == -1.0
         assert float(first[4]) == pytest.approx(samples[0].gain, rel=1e-15)
-
-    def test_endpoints_exact(self):
-        grid = default_grid(2001)
-        assert grid[0] == -1.0 and grid[-1] == 1.0

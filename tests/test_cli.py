@@ -91,6 +91,14 @@ class TestPattern:
         lam = slepian_weights(ArrayConfig(4, 0.5), 0.3).lambda_max
         assert ratio == pytest.approx(lam / 2.0, abs=1e-4)
 
+    def test_default_grid_endpoints_exact(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert run(["pattern", "--elements", 5, "--type", "dft", "--output", out]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2002
+        assert float(lines[1].split(",")[0]) == -1.0
+        assert float(lines[-1].split(",")[0]) == 1.0
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["pattern", "--elements", 5, "--type", "dft", "--points", 201]
