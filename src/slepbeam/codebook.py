@@ -154,10 +154,12 @@ def load_codebook(path) -> Codebook:
             raise CodebookFormatError(f"missing field {key!r}")
     try:
         cfg = ArrayConfig(int(data["M"]), float(data["d_over_lambda"]))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CodebookFormatError(f"bad array configuration: {exc}") from exc
     raw_regions = data["regions"]
     raw_codewords = data["codewords"]
+    if not isinstance(raw_regions, list) or not isinstance(raw_codewords, list):
+        raise CodebookFormatError("regions and codewords must be lists")
     if not raw_regions or len(raw_regions) != len(raw_codewords):
         raise CodebookFormatError(
             f"{len(raw_regions)} regions but {len(raw_codewords)} codewords"
@@ -172,6 +174,8 @@ def load_codebook(path) -> Codebook:
     _validate_tiling(regions)
     codewords = []
     for k, raw in enumerate(raw_codewords):
+        if not isinstance(raw, list):
+            raise CodebookFormatError(f"codeword {k} is not a list")
         if len(raw) != cfg.elements:
             raise CodebookFormatError(
                 f"codeword {k} has {len(raw)} entries, expected {cfg.elements}"

@@ -168,6 +168,15 @@ class TestCodebook:
         assert run(["codebook", "--validate", out]) == 2
         assert "norm" in capsys.readouterr().err
 
+    def test_validate_malformed_field_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "book.json"
+        run(["codebook", "--regions", 4, "--elements", 4, "--output", out])
+        data = json.loads(out.read_text())
+        data["regions"] = 5
+        out.write_text(json.dumps(data))
+        assert run(["codebook", "--validate", out]) == 2
+        assert "regions" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_default_suites_pass(self, capsys):

@@ -178,6 +178,27 @@ class TestSaveLoad:
         with pytest.raises(CodebookFormatError, match="version"):
             load_codebook(path)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d.update(regions=5),
+            lambda d: d.update(codewords=5),
+            lambda d: d["codewords"].__setitem__(0, 3),
+            lambda d: d.update(M=None),
+            lambda d: d.update(M=[5]),
+            lambda d: d.update(d_over_lambda=None),
+        ],
+        ids=["regions-int", "codewords-int", "codeword-int", "M-null", "M-list", "spacing-null"],
+    )
+    def test_malformed_field_rejected(self, book5, tmp_path, corrupt):
+        path = tmp_path / "book.json"
+        save_codebook(book5, path)
+        data = json.loads(path.read_text())
+        corrupt(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(CodebookFormatError):
+            load_codebook(path)
+
     def test_metadata_optional_on_load(self, book5, tmp_path):
         path = tmp_path / "book.json"
         save_codebook(book5, path)
