@@ -90,12 +90,12 @@ class CapacityScenario:
         object.__setattr__(
             self, "interferer_powers", tuple(float(p) for p in self.interferer_powers)
         )
-        if not self.signal_power > 0:
-            raise ValueError("signal power must be positive")
-        if not self.noise_power > 0:
-            raise ValueError("noise power must be positive")
-        if any(p < 0 for p in self.interferer_powers):
-            raise ValueError("interferer powers must be nonnegative")
+        if not (math.isfinite(self.signal_power) and self.signal_power > 0):
+            raise ValueError("signal power must be positive and finite")
+        if not (math.isfinite(self.noise_power) and self.noise_power > 0):
+            raise ValueError("noise power must be positive and finite")
+        if not all(math.isfinite(p) and p >= 0 for p in self.interferer_powers):
+            raise ValueError("interferer powers must be nonnegative and finite")
         if self.domain not in (PHASE_DOMAIN, ANGULAR_DOMAIN):
             raise ValueError(f"unknown domain {self.domain!r}")
         if not self.signal_region.half_width > 0:
@@ -127,8 +127,8 @@ class CapacityScenario:
         """
         if n_interferers < 0:
             raise ValueError("n_interferers must be nonnegative")
-        if total_interference < 0:
-            raise ValueError("total interference must be nonnegative")
+        if not (math.isfinite(total_interference) and total_interference >= 0):
+            raise ValueError("total interference must be nonnegative and finite")
         powers = (
             (total_interference / n_interferers,) * n_interferers
             if total_interference > 0 and n_interferers > 0

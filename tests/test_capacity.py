@@ -53,6 +53,21 @@ class TestScenario:
         with pytest.raises(ValueError):
             CapacityScenario(1.0, (), 0.0, PhaseRegion(half_width=0.2))
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("power", ["signal", "interferer", "noise"])
+    def test_rejects_non_finite_powers(self, power, value):
+        powers = {"signal": 1.0, "interferer": 0.3, "noise": 0.1, power: value}
+        with pytest.raises(ValueError, match="finite"):
+            CapacityScenario(
+                powers["signal"], (0.3, powers["interferer"]), powers["noise"],
+                PhaseRegion(half_width=0.2),
+            )
+
+    @pytest.mark.parametrize("total", [math.inf, math.nan])
+    def test_rejects_non_finite_total_interference(self, total):
+        with pytest.raises(ValueError, match="finite"):
+            CapacityScenario.equal_interferers(1.0, total, 0.1, PhaseRegion(half_width=0.2))
+
     def test_rejects_empty_signal_region(self):
         with pytest.raises(ValueError, match="nonempty"):
             CapacityScenario(1.0, (), 0.1, PhaseRegion(half_width=0.0))

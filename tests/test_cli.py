@@ -135,6 +135,12 @@ class TestCapacity:
         assert meta["seed"] == 7
         assert meta["samples"] == 2000
 
+    @pytest.mark.parametrize("flag", ["--ps", "--pi-total", "--n0"])
+    def test_non_finite_power_exits_2(self, tmp_path, capsys, flag):
+        assert run(["capacity", "--elements", 5, flag, "inf",
+                    "--output", tmp_path / "c.csv"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_zero_samples_exits_2(self, tmp_path, capsys):
         assert run(["capacity", "--elements", 5, "--samples", 0,
                     "--output", tmp_path / "c.csv"]) == 2
