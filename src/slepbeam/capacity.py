@@ -10,14 +10,14 @@ the synthesizer comparison table.
 
 Determinism contract: every random draw comes from a named substream
 ``(seed, role, ...)`` (role 1 = desired signal, role 2 = interferer index).
-Each substream's uniform vector is drawn once per estimator call, or once
-per table in :func:`compare_synthesizers`, and mapped affinely into the
-row's signal band or interference intervals.  Results are therefore
+Every Monte Carlo estimator goes through one pass, which restarts the
+substreams for each row (or group of rows on one scenario) and draws them
+block by block: the same uniforms as one draw of n, mapped affinely into the
+row's signal band or interference intervals.  Each capacity draw comes from
+the same element-wise operations whatever its block, so results are
 reproducible bit-for-bit for a fixed seed regardless of how many estimators
-run, in which order, or whether a row is evaluated alone or in a table.
-Every Monte Carlo estimator goes through one draws-and-gains path, which
-turns the phases into phasors z = exp(-1j*kd*s) once and evaluates each
-taper on them by Horner's rule.
+run, in which order, or whether a row is evaluated alone or in a table.  The
+draws feed the mean, the outage quantiles and the upper bound.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ ANGULAR_DOMAIN = "angular"
 _STREAM_SIGNAL = 1
 _STREAM_INTERFERER = 2
 _MIN_SAMPLES = 1000
+_BLOCK = 8192  # draws per block of the Monte Carlo pass
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,11 @@ class CapacityScenario:
             raise ValueError("n_interferers must be nonnegative")
         if not (math.isfinite(total_interference) and total_interference >= 0):
             raise ValueError("total interference must be nonnegative and finite")
+        if total_interference > 0 and n_interferers == 0:
+            raise ValueError("positive total interference needs at least one interferer")
         powers = (
             (total_interference / n_interferers,) * n_interferers
-            if total_interference > 0 and n_interferers > 0
+            if total_interference > 0
             else ()
         )
         return cls(
@@ -186,17 +189,6 @@ def _interference_intervals(scenario: CapacityScenario) -> list[tuple[float, flo
     return [(a, b) for a, b in candidates if b - a > 0.0]
 
 
-def _uniforms(scenario: CapacityScenario, n: int, seed: int):
-    """The substreams' uniforms: the signal's (n,), one (k, n) row per
-    interferer of nonzero power, and those k powers."""
-    if n < _MIN_SAMPLES:
-        raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {n}")
-    active = [(i, p) for i, p in enumerate(scenario.interferer_powers) if p > 0]
-    rows = [_rng(seed, _STREAM_INTERFERER, i).random(n) for i, _ in active]
-    signal = _rng(seed, _STREAM_SIGNAL).random(n)
-    return signal, np.array(rows).reshape(len(rows), n), [p for _, p in active]
-
-
 def _to_phase(scenario: CapacityScenario, x):
     """Arrival variable to phase s: identity, or the cosine of an angle."""
     if scenario.domain == PHASE_DOMAIN:
@@ -221,35 +213,40 @@ def _interferer_phases(scenario: CapacityScenario, u: np.ndarray) -> np.ndarray:
     return _to_phase(scenario, draws)
 
 
-def _mc_gains(scenario, tapers, cfg, uniforms):
-    """Yield (signal gains, interference power) over the draws for each taper.
+def _mc_pass(scenario, tapers, cfg, n: int, seed: int):
+    """Yield (capacity draws, E{1/(N0+I)}) over the n draws for each taper.
 
-    Every taper shares the phasors of the signal draws.  Tapers go in blocks
-    of at most M, which share the phasors of each interferer's draws; a
-    block's interference sums take no more room than one (n x M) phase matrix.
+    Tapers go in groups of at most M, and each group walks the draws in
+    blocks of ``_BLOCK`` (a lone last draw joins the block before it: numpy
+    rounds complex products of one-element arrays differently).  A block
+    turns its phases into phasors once and evaluates every taper of the group
+    on them; only the (n,) capacity draws of each taper outlive the block.
+    E{1/(N0+I)} is summed per block, which moves it at rounding level.
     """
-    u0, u_int, powers = uniforms
-    z0 = phasors(cfg, _signal_phases(scenario, u0))
+    if n < _MIN_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {n}")
+    active = [(i, p) for i, p in enumerate(scenario.interferer_powers) if p > 0]
     for start in range(0, len(tapers), cfg.elements):
-        block = tapers[start : start + cfg.elements]
-        interference = np.zeros((len(block), z0.size))
-        for power, u in zip(powers, u_int):
-            z = phasors(cfg, _interferer_phases(scenario, u))
-            for total, v in zip(interference, block):
-                gain = directivity_gain(v, cfg, z)
-                gain *= power
-                total += gain
-        for v, total in zip(block, interference):
-            yield directivity_gain(v, cfg, z0), total
-
-
-def _row_gains(scenario, v, cfg, n: int, seed: int):
-    """Signal gains and interference power of one taper on its own draws."""
-    return next(_mc_gains(scenario, [v], cfg, _uniforms(scenario, n, seed)))
-
-
-def _capacity(scenario, gain0: np.ndarray, interference: np.ndarray) -> np.ndarray:
-    return np.log2(1.0 + scenario.signal_power * gain0 / (scenario.noise_power + interference))
+        group = tapers[start : start + cfg.elements]
+        signal = _rng(seed, _STREAM_SIGNAL)
+        interferers = [(_rng(seed, _STREAM_INTERFERER, i), p) for i, p in active]
+        draws = np.empty((len(group), n))
+        inverse_sums = np.zeros(len(group))
+        for lo in range(0, n - 1, _BLOCK):
+            hi = lo + _BLOCK if n - lo > _BLOCK + 1 else n
+            z0 = phasors(cfg, _signal_phases(scenario, signal.random(hi - lo)))
+            denominator = np.zeros((len(group), hi - lo))
+            for rng, power in interferers:
+                z = phasors(cfg, _interferer_phases(scenario, rng.random(hi - lo)))
+                for total, v in zip(denominator, group):
+                    total += power * directivity_gain(v, cfg, z)
+            denominator += scenario.noise_power
+            inverse_sums += np.sum(1.0 / denominator, axis=1)
+            for row, v, noise_plus_interference in zip(draws, group, denominator):
+                sinr = scenario.signal_power * directivity_gain(v, cfg, z0)
+                sinr /= noise_plus_interference
+                np.log2(1.0 + sinr, out=row[lo:hi])
+        yield from zip(draws, (inverse_sums / n).tolist())
 
 
 def capacity_sample(scenario, v, cfg, s0: float, s_interferers: Sequence[float] = ()) -> float:
@@ -264,7 +261,7 @@ def capacity_sample(scenario, v, cfg, s0: float, s_interferers: Sequence[float] 
 
 
 def _capacity_draws(scenario, v, cfg, n: int, seed: int) -> np.ndarray:
-    return _capacity(scenario, *_row_gains(scenario, v, cfg, n, seed))
+    return next(_mc_pass(scenario, [v], cfg, n, seed))[0]
 
 
 def _mean_and_stderr(draws: np.ndarray) -> tuple[float, float]:
@@ -360,13 +357,12 @@ def capacity_approximation(scenario, v, cfg) -> float:
     return _approximation(scenario, *_region_mean_gains(scenario, v, cfg))
 
 
-def _mean_inverse_noise_plus_interference(scenario, v, cfg, mc_interference) -> float:
+def _mean_inverse_noise_plus_interference(scenario, v, cfg) -> float | None:
     """E{ 1 / (N0 + I) } over the interferer draws.
 
     Exact when there is no interference; 1-D quadrature when a single
-    interferer carries all the power; otherwise the Monte Carlo mean over
-    ``mc_interference()``, the interference draws on the same substreams as
-    the mean estimator (common random numbers).
+    interferer carries all the power; otherwise None, and the Monte Carlo
+    pass supplies it from the mean estimator's draws (common random numbers).
     """
     noise = scenario.noise_power
     active = [(i, p) for i, p in enumerate(scenario.interferer_powers) if p > 0]
@@ -385,16 +381,16 @@ def _mean_inverse_noise_plus_interference(scenario, v, cfg, mc_interference) -> 
         for a, b in intervals:
             acc += oscillation_simpson(integrand, a, b, cfg.elements, cfg.kd, tol=1e-10)
         return acc / total_len
-    return float(np.mean(1.0 / (noise + mc_interference())))
+    return None
 
 
 def capacity_upper_bound(scenario, v, cfg, n_samples: int = 100_000, seed: int = 0) -> float:
     """log2(1 + E{S} * E{1/(N0 + I)}): the concave-side bound."""
     _check_nondegenerate_region(scenario)
     mean_in, _ = _region_mean_gains(scenario, v, cfg)
-    inv_mean = _mean_inverse_noise_plus_interference(
-        scenario, v, cfg, lambda: _row_gains(scenario, v, cfg, n_samples, seed)[1]
-    )
+    inv_mean = _mean_inverse_noise_plus_interference(scenario, v, cfg)
+    if inv_mean is None:
+        inv_mean = next(_mc_pass(scenario, [v], cfg, n_samples, seed))[1]
     return math.log2(1.0 + scenario.signal_power * mean_in * inv_mean)
 
 
@@ -431,23 +427,24 @@ def estimate_capacity(
 ) -> CapacityEstimates:
     """Mean, bounds, approximation, and outage quantiles in one pass.
 
-    The Monte Carlo interference draws are shared between the mean estimate
-    and the upper bound's expectation term.  ``_gains`` is for
-    :func:`compare_synthesizers`, which evaluates the (signal gains,
-    interference power) of ``v`` over the ``(seed, stream)`` draws for a
-    whole table at once; they must be of ``n_samples`` draws.
+    One Monte Carlo pass feeds the mean, the outage quantiles and the upper
+    bound's expectation term.  ``_gains`` is for :func:`compare_synthesizers`,
+    which runs the pass over a group of tapers at once: it is the pass's
+    (capacity draws, E{1/(N0+I)}) for ``v``, of ``n_samples`` draws, and the
+    quantiles reorder those draws in place.
     """
     _check_nondegenerate_region(scenario)
     if _gains is None:
-        _gains = _row_gains(scenario, v, cfg, n_samples, seed)
-    gain0, interference = _gains
-    if gain0.size != n_samples or interference.size != n_samples:
-        raise ValueError(f"precomputed gains hold {gain0.size} draws, expected {n_samples}")
-    draws = _capacity(scenario, gain0, interference)
+        _gains = next(_mc_pass(scenario, [v], cfg, n_samples, seed))
+    draws, mc_inv_mean = _gains
+    if draws.size != n_samples:
+        raise ValueError(f"precomputed gains hold {draws.size} draws, expected {n_samples}")
     mean, stderr = _mean_and_stderr(draws)
-    outage = {float(q): float(np.quantile(draws, q / 100.0)) for q in outage_quantiles}
+    outage = {float(q): _quantile(draws, q) for q in outage_quantiles}
     mean_in, mean_out = _region_mean_gains(scenario, v, cfg)
-    inv_mean = _mean_inverse_noise_plus_interference(scenario, v, cfg, lambda: interference)
+    inv_mean = _mean_inverse_noise_plus_interference(scenario, v, cfg)
+    if inv_mean is None:
+        inv_mean = mc_inv_mean
     lower = _lower_bound(scenario, v, cfg, lambda: mean_out)
     return CapacityEstimates(
         mean=mean,
@@ -525,8 +522,12 @@ def outage_capacity_mc(scenario, v, cfg, q: float, n_samples: int = 100_000, see
     """Empirical q% outage capacity: the rate exceeded in (100 - q)% of draws."""
     if not 0.0 < q < 100.0:
         raise ValueError(f"outage percentage must be in (0, 100), got {q}")
-    draws = _capacity_draws(scenario, v, cfg, n_samples, seed)
-    return float(np.quantile(draws, q / 100.0))
+    return _quantile(_capacity_draws(scenario, v, cfg, n_samples, seed), q)
+
+
+def _quantile(draws: np.ndarray, q: float) -> float:
+    """The q% quantile, partitioning ``draws`` in place rather than a copy."""
+    return float(np.quantile(draws, q / 100.0, overwrite_input=True))
 
 
 @dataclass(frozen=True)
@@ -554,21 +555,20 @@ def compare_synthesizers(
 
     Each concentration row redesigns both the beam and the scenario band at
     that width (the comparison is "a w-wide beam serving a w-wide region");
-    baseline rows are evaluated on the scenario as given.  The uniforms are
-    drawn once for the table and every row maps them into its own intervals,
-    so each row is bit-identical to :func:`estimate_capacity` alone and rows
-    over the same region share arrival draws: differences come from the
-    patterns rather than sampling noise.  The baselines share one scenario and
-    go through the gain kernel as one batch on shared phasors.
+    baseline rows are evaluated on the scenario as given.  Every row draws the
+    same substreams and maps them into its own intervals, so each row is
+    bit-identical to :func:`estimate_capacity` alone and rows over the same
+    region share arrival draws: differences come from the patterns rather
+    than sampling noise.  The baselines share one scenario and go through the
+    Monte Carlo pass in groups of M on shared phasors.
     """
-    uniforms = _uniforms(scenario, n_samples, seed)
     rows: list[ComparisonRow] = []
     center = scenario.signal_region.center
     for w in w_grid:
         scen = replace(scenario, signal_region=PhaseRegion(half_width=float(w), center=center))
         design = slepian_weights(cfg, float(w))
         weights = steer(design, center) if center != 0.0 else design.weights
-        gains = next(_mc_gains(scen, [weights], cfg, uniforms))
+        gains = next(_mc_pass(scen, [weights], cfg, n_samples, seed))
         est = estimate_capacity(scen, weights, cfg, n_samples, seed, _gains=gains)
         rows.append(_row("slepian", float(w), est))
     baselines = [
@@ -579,7 +579,7 @@ def compare_synthesizers(
         for att in chebyshev_attenuations_db
     ]
     tapers = [weights for _, _, weights in baselines]
-    batch = _mc_gains(scenario, tapers, cfg, uniforms)
+    batch = _mc_pass(scenario, tapers, cfg, n_samples, seed)
     for (name, param, weights), gains in zip(baselines, batch):
         est = estimate_capacity(scenario, weights, cfg, n_samples, seed, _gains=gains)
         rows.append(_row(name, param, est))

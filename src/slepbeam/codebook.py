@@ -8,6 +8,7 @@ under a different steering ramp.
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
@@ -136,6 +137,16 @@ def _validate_tiling(regions) -> None:
         raise CodebookFormatError("every region must have positive width")
 
 
+def _number(value, name: str) -> float:
+    """A finite JSON number as a float; bools and numeric strings are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CodebookFormatError(f"{name} must be a number, got {value!r}")
+    # false for nan, and exact for an int beyond the float range
+    if not abs(value) <= sys.float_info.max:
+        raise CodebookFormatError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 def load_codebook(path) -> Codebook:
     """Parse and revalidate a saved codebook; any invariant violation rejects."""
     text = Path(path).read_text(encoding="utf-8")
@@ -152,8 +163,10 @@ def load_codebook(path) -> Codebook:
     for key in ("M", "d_over_lambda", "regions", "codewords"):
         if key not in data:
             raise CodebookFormatError(f"missing field {key!r}")
+    if isinstance(data["M"], bool) or not isinstance(data["M"], int):
+        raise CodebookFormatError(f"M must be an integer, got {data['M']!r}")
     try:
-        cfg = ArrayConfig(int(data["M"]), float(data["d_over_lambda"]))
+        cfg = ArrayConfig(data["M"], _number(data["d_over_lambda"], "d_over_lambda"))
     except (TypeError, ValueError) as exc:
         raise CodebookFormatError(f"bad array configuration: {exc}") from exc
     raw_regions = data["regions"]
@@ -166,7 +179,10 @@ def load_codebook(path) -> Codebook:
         )
     try:
         regions = tuple(
-            PhaseRegion(half_width=float(r["half_width"]), center=float(r["center"]))
+            PhaseRegion(
+                half_width=_number(r["half_width"], "half_width"),
+                center=_number(r["center"], "center"),
+            )
             for r in raw_regions
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -181,7 +197,7 @@ def load_codebook(path) -> Codebook:
                 f"codeword {k} has {len(raw)} entries, expected {cfg.elements}"
             )
         try:
-            cw = np.array([complex(float(c["re"]), float(c["im"])) for c in raw])
+            cw = np.array([complex(_number(c["re"], "re"), _number(c["im"], "im")) for c in raw])
         except (KeyError, TypeError, ValueError) as exc:
             raise CodebookFormatError(f"bad codeword {k}: {exc}") from exc
         norm = float(np.linalg.norm(cw))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,12 +20,13 @@ from slepbeam.capacity import (
     outage_capacity_mc,
     verify_ordering,
     write_comparison_csv,
+    _BLOCK,
     _interferer_phases,
+    _mc_pass,
     _mean_inverse_noise_plus_interference,
     _region_mean_gains,
-    _row_gains,
+    _rng,
     _signal_phases,
-    _uniforms,
 )
 from slepbeam.concentration import PhaseRegion
 from slepbeam.quadrature import adaptive_simpson
@@ -67,6 +69,20 @@ class TestScenario:
     def test_rejects_non_finite_total_interference(self, total):
         with pytest.raises(ValueError, match="finite"):
             CapacityScenario.equal_interferers(1.0, total, 0.1, PhaseRegion(half_width=0.2))
+
+    def test_rejects_interference_without_interferers(self):
+        with pytest.raises(ValueError, match="at least one interferer"):
+            CapacityScenario.equal_interferers(
+                1.0, 0.6, 0.1, PhaseRegion(half_width=0.2), n_interferers=0
+            )
+
+    @pytest.mark.parametrize("n_interferers", [0, 1, 6])
+    def test_zero_total_interference_has_no_interferers(self, n_interferers):
+        scenario = CapacityScenario.equal_interferers(
+            1.0, 0.0, 0.1, PhaseRegion(half_width=0.2), n_interferers=n_interferers
+        )
+        assert scenario.interferer_powers == ()
+        assert scenario.total_interference == 0.0
 
     def test_rejects_empty_signal_region(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -113,11 +129,11 @@ class TestCapacitySample:
 
 
 def _signal_draws(scenario, n, seed):
-    return _signal_phases(scenario, _uniforms(scenario, n, seed)[0])
+    return _signal_phases(scenario, _rng(seed, 1).random(n))
 
 
 def _interferer_draws(scenario, index, n, seed):
-    return _interferer_phases(scenario, _uniforms(scenario, n, seed)[1][index])
+    return _interferer_phases(scenario, _rng(seed, 2, index).random(n))
 
 
 class TestSampling:
@@ -250,12 +266,17 @@ class TestUpperBound:
     def test_single_interferer_quadrature_matches_mc(self):
         scenario = CapacityScenario(1.0, (0.6,), 0.1, PhaseRegion(half_width=0.2))
         v = slepian_weights(CFG5, 0.2).weights
-        quad = _mean_inverse_noise_plus_interference(scenario, v, CFG5, None)
-        draws = 1.0 / (0.1 + _row_gains(scenario, v, CFG5, 100_000, 13)[1])
-        independent = 1.0 / (0.1 + 0.6 * directivity_gain(v, CFG5, _interferer_draws(scenario, 0, 100_000, 13)))
-        np.testing.assert_array_equal(draws, independent)
-        stderr = draws.std(ddof=1) / math.sqrt(draws.size)
-        assert abs(quad - draws.mean()) <= 3.0 * stderr
+        quad = _mean_inverse_noise_plus_interference(scenario, v, CFG5)
+        draws, mc_inverse = next(_mc_pass(scenario, [v], CFG5, 100_000, 13))
+        gain0 = directivity_gain(v, CFG5, _signal_draws(scenario, 100_000, 13))
+        noise_plus_interference = 0.1 + 0.6 * directivity_gain(
+            v, CFG5, _interferer_draws(scenario, 0, 100_000, 13)
+        )
+        np.testing.assert_array_equal(draws, np.log2(1.0 + 1.0 * gain0 / noise_plus_interference))
+        inverse = 1.0 / noise_plus_interference
+        assert abs(mc_inverse - inverse.mean()) <= 4 * math.ulp(inverse.mean())
+        stderr = inverse.std(ddof=1) / math.sqrt(inverse.size)
+        assert abs(quad - mc_inverse) <= 3.0 * stderr
 
 
 class TestLowerBound:
@@ -306,12 +327,12 @@ class TestVerifyOrdering:
         rng = np.random.default_rng(53)
         for trial in range(20):
             width = float(rng.uniform(0.1, 0.6))
+            powers = [float(rng.uniform(a, b)) for a, b in ((0.5, 2.0), (0.0, 1.0), (0.05, 0.5))]
+            n_interferers = int(rng.integers(0, 5))
+            if n_interferers == 0:
+                powers[1] = 0.0  # no interferers carry no interference
             scenario = CapacityScenario.equal_interferers(
-                float(rng.uniform(0.5, 2.0)),
-                float(rng.uniform(0.0, 1.0)),
-                float(rng.uniform(0.05, 0.5)),
-                PhaseRegion(half_width=width),
-                n_interferers=int(rng.integers(0, 5)),
+                *powers, PhaseRegion(half_width=width), n_interferers=n_interferers
             )
             z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             report = verify_ordering(scenario, z / np.linalg.norm(z), CFG5, 5_000, trial)
@@ -418,7 +439,7 @@ class TestCompare:
 
     def test_precomputed_gains_must_match_sample_count(self):
         v = dft_weights(5)
-        gains = _row_gains(FIG9, v, CFG5, 3_000, 5)
+        gains = next(_mc_pass(FIG9, [v], CFG5, 3_000, 5))
         est = estimate_capacity(FIG9, v, CFG5, 3_000, 5, _gains=gains)
         assert est == estimate_capacity(FIG9, v, CFG5, 3_000, 5)
         with pytest.raises(ValueError, match="3000 draws, expected 5000"):
@@ -453,3 +474,82 @@ class TestCompare:
         assert len(calls) == 1
         assert (est.lower_bound, est.lower_bound_diverged) == (lb.value, lb.diverged)
         assert not lb.diverged
+
+
+def _unblocked(scenario, v, cfg, n, seed):
+    """Capacity draws and E{1/(N0+I)} in one shot over the whole substreams:
+    (seed, 1) for the signal and (seed, 2, i) for interferer i."""
+    gain0 = directivity_gain(v, cfg, _signal_draws(scenario, n, seed))
+    interference = np.zeros(n)
+    for i, power in enumerate(scenario.interferer_powers):
+        if power > 0:
+            phases = _interferer_draws(scenario, i, n, seed)
+            interference += power * directivity_gain(v, cfg, phases)
+    denominator = scenario.noise_power + interference
+    draws = np.log2(1.0 + scenario.signal_power * gain0 / denominator)
+    return draws, float(np.mean(1.0 / denominator))
+
+
+class TestBlockedPass:
+    @pytest.mark.parametrize("domain", ["phase", "angular"])
+    @pytest.mark.parametrize("n", [1000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1])
+    def test_matches_unblocked_reference(self, domain, n):
+        """Blocks change nothing but the summation order of E{1/(N0+I)}.
+
+        That sum is of positive terms, pairwise within a block and running
+        over blocks, so it moves the upper bound at rounding level: at most
+        1 ulp over 20 seeds of these cases and of n = 100k; 4 ulps allowed.
+        """
+        scenario = replace(FIG9, domain=domain)
+        tapers = [slepian_weights(CFG5, 0.2).weights, dft_weights(5), binomial_weights(5)]
+        for v, (draws, inverse) in zip(tapers, _mc_pass(scenario, tapers, CFG5, n, 21)):
+            want, want_inverse = _unblocked(scenario, v, CFG5, n, 21)
+            np.testing.assert_array_equal(draws, want)
+            assert abs(inverse - want_inverse) <= 4 * math.ulp(want_inverse)
+            est = estimate_capacity(scenario, v, CFG5, n, 21)
+            assert est.mean == float(want.mean())
+            assert est.stderr == float(want.std(ddof=1) / math.sqrt(n))
+            assert est.outage[50.0] == float(np.quantile(want, 0.5))
+            mean_in, _ = _region_mean_gains(scenario, v, CFG5)
+            ub = math.log2(1.0 + scenario.signal_power * mean_in * want_inverse)
+            assert abs(est.upper_bound - ub) <= 4 * math.ulp(ub)
+
+    def test_substream_index_skips_silent_interferers(self):
+        scenario = CapacityScenario(1.0, (0.2, 0.0, 0.4), 0.1, PhaseRegion(half_width=0.2))
+        v = slepian_weights(CFG5, 0.2).weights
+        draws, _ = next(_mc_pass(scenario, [v], CFG5, _BLOCK + 1, 6))
+        np.testing.assert_array_equal(draws, _unblocked(scenario, v, CFG5, _BLOCK + 1, 6)[0])
+
+    def test_tapers_beyond_m_start_a_new_group(self):
+        tapers = [chebyshev_weights(3, att) for att in (20.0, 25.0, 30.0, 35.0)]
+        cfg = ArrayConfig(3, 0.5)
+        for v, (draws, _) in zip(tapers, _mc_pass(FIG9, tapers, cfg, 2 * _BLOCK, 4)):
+            np.testing.assert_array_equal(draws, _unblocked(FIG9, v, cfg, 2 * _BLOCK, 4)[0])
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMonteCarloMemory:
+    """Only the (n,) capacity draws of the tapers in flight grow with n: 16
+    bytes a sample for one estimate (the draws and the variance's temporary)
+    and about 8 (M + 2) for a table, whose baselines go in groups of M."""
+
+    N = 200_000
+
+    def test_estimate_capacity(self):
+        v = slepian_weights(CFG5, 0.2).weights
+        estimate_capacity(FIG9, v, CFG5, 2_000, 3)
+        assert _traced_peak(lambda: estimate_capacity(FIG9, v, CFG5, self.N, 3)) <= 24 * self.N
+
+    def test_compare_synthesizers(self):
+        grids = ([0.1, 0.2], [20.0, 30.0, 40.0, 50.0])
+        compare_synthesizers(CFG5, FIG9, *grids, 2_000, 3)
+        peak = _traced_peak(lambda: compare_synthesizers(CFG5, FIG9, *grids, self.N, 3))
+        assert peak <= 8 * (CFG5.elements + 4) * self.N

@@ -141,6 +141,20 @@ class TestCapacity:
                     "--output", tmp_path / "c.csv"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_interference_without_interferers_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run(["capacity", "--elements", 5, "--interferers", 0, "--pi-total", 0.6,
+                    "--output", out]) == 2
+        assert "at least one interferer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_interferers_without_interference(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run(["capacity", "--elements", 4, "--interferers", 0, "--pi-total", 0,
+                    "--samples", 2000, "--w-grid", "0.2", "--att-grid", "25",
+                    "--output", out]) == 0
+        assert json.loads((tmp_path / "c.csv.meta.json").read_text())["pi_total"] == 0.0
+
     def test_zero_samples_exits_2(self, tmp_path, capsys):
         assert run(["capacity", "--elements", 5, "--samples", 0,
                     "--output", tmp_path / "c.csv"]) == 2
@@ -182,6 +196,15 @@ class TestCodebook:
         out.write_text(json.dumps(data))
         assert run(["codebook", "--validate", out]) == 2
         assert "regions" in capsys.readouterr().err
+
+    def test_validate_fractional_element_count_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "book.json"
+        run(["codebook", "--regions", 4, "--elements", 4, "--output", out])
+        data = json.loads(out.read_text())
+        data["M"] = 4.5
+        out.write_text(json.dumps(data))
+        assert run(["codebook", "--validate", out]) == 2
+        assert "M must be an integer" in capsys.readouterr().err
 
 
 class TestVerify:

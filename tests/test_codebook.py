@@ -199,6 +199,39 @@ class TestSaveLoad:
         with pytest.raises(CodebookFormatError):
             load_codebook(path)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d.update(M=5.7),
+            lambda d: d.update(M=5.0),
+            lambda d: d.update(M="5"),
+            lambda d: d.update(M=True),
+            lambda d: d.update(d_over_lambda="0.5"),
+            lambda d: d.update(d_over_lambda=True),
+            lambda d: d.update(d_over_lambda=math.nan),
+            lambda d: d["regions"][0].update(center=str(d["regions"][0]["center"])),
+            lambda d: d["regions"][2].update(half_width=str(d["regions"][2]["half_width"])),
+            lambda d: d["regions"][1].update(center=math.inf),
+            lambda d: d["codewords"][0][1].update(re=str(d["codewords"][0][1]["re"])),
+            lambda d: d["codewords"][3][4].update(im=str(d["codewords"][3][4]["im"])),
+            lambda d: d["codewords"][2][0].update(im=False),
+            lambda d: d["codewords"][1][2].update(re=10**400),
+        ],
+        ids=[
+            "M-fraction", "M-float", "M-string", "M-bool", "spacing-string", "spacing-bool",
+            "spacing-nan", "center-string", "half-width-string", "center-inf", "re-string",
+            "im-string", "im-bool", "re-huge-int",
+        ],
+    )
+    def test_field_that_is_not_a_json_number_rejected(self, book5, tmp_path, corrupt):
+        path = tmp_path / "book.json"
+        save_codebook(book5, path)
+        data = json.loads(path.read_text())
+        corrupt(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(CodebookFormatError, match="must be an integer|must be a number|must be finite"):
+            load_codebook(path)
+
     def test_metadata_optional_on_load(self, book5, tmp_path):
         path = tmp_path / "book.json"
         save_codebook(book5, path)
