@@ -18,10 +18,19 @@ the same element-wise operations whatever its block, so results are
 reproducible bit-for-bit for a fixed seed regardless of how many estimators
 run, in which order, or whether a row is evaluated alone or in a table.  The
 draws feed the mean, the outage quantiles and the upper bound.
+
+The approximation and both bounds are formulas over one private record per
+(scenario, taper), ``_Expectations``: the mean gains in and out of band, the
+in-band mean of 1/G with its divergence flag, E{1/(N0+I)} (exact, quadrature,
+or from the Monte Carlo pass with two or more interferers) and the pass
+itself.  Each is evaluated on first use and never twice, so the approximation
+alone never scans for nulls or draws, and a diverging lower bound never
+integrates the mean gains.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -179,14 +188,13 @@ def _signal_interval(scenario: CapacityScenario) -> tuple[float, float]:
     return (math.acos(min(hi, 1.0)), math.acos(max(lo, -1.0)))
 
 
+def _visible_interval(scenario: CapacityScenario) -> tuple[float, float]:
+    return (-1.0, 1.0) if scenario.domain == PHASE_DOMAIN else (0.0, math.pi)
+
+
 def _interference_intervals(scenario: CapacityScenario) -> list[tuple[float, float]]:
-    if scenario.domain == PHASE_DOMAIN:
-        lo, hi = scenario.signal_region.bounds
-        candidates = [(-1.0, lo), (hi, 1.0)]
-    else:
-        t_lo, t_hi = _signal_interval(scenario)
-        candidates = [(0.0, t_lo), (t_hi, math.pi)]
-    return [(a, b) for a, b in candidates if b - a > 0.0]
+    (lo, hi), (start, end) = _signal_interval(scenario), _visible_interval(scenario)
+    return [(a, b) for a, b in ((start, lo), (hi, end)) if b - a > 0.0]
 
 
 def _to_phase(scenario: CapacityScenario, x):
@@ -273,76 +281,122 @@ def mean_capacity_mc(scenario, v, cfg, n_samples: int = 100_000, seed: int = 0):
     return _mean_and_stderr(_capacity_draws(scenario, v, cfg, n_samples, seed))
 
 
-def _region_mean_gains(scenario, v, cfg) -> tuple[float, float]:
-    """Mean gain over the signal region and over its complement: closed-form
-    band powers in the phase domain at kd = pi, the numerically integrated
-    angle matrices in the angle domain.
+class _Expectations:
+    """The expectations of one (scenario, taper), each evaluated on first use.
 
-    Known defect: off kd = pi the phase-domain gain integrals are adaptive
-    Simpson, which misses its 1e-9 tolerance at isolated spacings (6.1e-8 at
-    M=16, d=0.3786239830493477).  Closed-form ``band_power`` is exact there
-    too; the branch stays only while the benchmark's own test expects that
-    miss (``perfbench/test_checks.py``).
+    ``mc`` is the Monte Carlo pass's (draws, E{1/(N0+I)}) when the caller
+    already ran it; otherwise the pass runs on first use.
     """
-    if scenario.domain == PHASE_DOMAIN:
-        lo, hi = scenario.signal_region.bounds
-        signal_len = hi - lo
-        complement_len = 2.0 - signal_len
-        if abs(cfg.kd - math.pi) <= 1e-12:
-            in_power, visible = band_power(v, cfg, lo, hi), band_power(v, cfg, -1.0, 1.0)
+
+    def __init__(self, scenario, v, cfg, n_samples: int = 100_000, seed: int = 0, mc=None):
+        half_width = scenario.signal_region.half_width
+        if not 0.0 < half_width < 1.0:
+            raise ValueError(f"signal region half-width {half_width} is degenerate: the "
+                             "per-region mean gains divide by the region and complement lengths")
+        self.scenario, self.v, self.cfg = scenario, v, cfg
+        self.n_samples, self.seed = n_samples, seed
+        if mc is not None:
+            self.mc = mc
+
+    @functools.cached_property
+    def mc(self) -> tuple[np.ndarray, float]:
+        return next(_mc_pass(self.scenario, [self.v], self.cfg, self.n_samples, self.seed))
+
+    @functools.cached_property
+    def mean_gains(self) -> tuple[float, float]:
+        """Mean gain in band and out of band: closed-form band powers in the
+        phase domain at kd = pi, the integrated angle matrices in the angle
+        domain.  Known defect: off kd = pi the phase integrals are adaptive
+        Simpson, which misses 1e-9 at isolated spacings (6.1e-8 at M=16,
+        d=0.3786239830493477); ``band_power`` is exact there, and the branch
+        stays while ``perfbench/test_checks.py`` expects that miss."""
+        scenario, v, cfg = self.scenario, self.v, self.cfg
+        (lo, hi), (start, end) = _signal_interval(scenario), _visible_interval(scenario)
+        if scenario.domain == ANGULAR_DOMAIN:
+            in_power = quadratic_form(v, angular_concentration_matrix(cfg, lo, hi).entries)
+            visible = quadratic_form(v, angular_concentration_matrix(cfg, start, end).entries)
+        elif abs(cfg.kd - math.pi) <= 1e-12:
+            in_power, visible = band_power(v, cfg, lo, hi), band_power(v, cfg, start, end)
         else:
             gain = gain_function(v, cfg)
             in_power = oscillation_simpson(gain, lo, hi, cfg.elements, cfg.kd)
-            visible = oscillation_simpson(gain, -1.0, 1.0, cfg.elements, cfg.kd)
-    else:
-        t_lo, t_hi = _signal_interval(scenario)
-        signal_len = t_hi - t_lo
-        complement_len = math.pi - signal_len
-        in_power = quadratic_form(v, angular_concentration_matrix(cfg, t_lo, t_hi).entries)
-        visible = quadratic_form(v, angular_concentration_matrix(cfg, 0.0, math.pi).entries)
-    mean_in = in_power / signal_len
-    mean_out = max(visible - in_power, 0.0) / complement_len if complement_len > 0 else 0.0
-    return mean_in, mean_out
+            visible = oscillation_simpson(gain, start, end, cfg.elements, cfg.kd)
+        signal_len = hi - lo
+        complement_len = end - start - signal_len
+        mean_in = in_power / signal_len
+        mean_out = max(visible - in_power, 0.0) / complement_len if complement_len > 0 else 0.0
+        return mean_in, mean_out
 
-
-def _region_mean_inverse_gain(scenario, v, cfg) -> tuple[float, bool]:
-    """Mean of 1/gain over the signal region; (inf, True) when a null sits in-band."""
-    lo, hi = scenario.signal_region.bounds
-    # loose circle tolerance: a root this close to the unit circle makes the
-    # inverse-gain integral effectively divergent, and a spurious divergence
-    # flag only weakens a lower bound
-    if pattern_nulls(v, cfg, lo, hi, circle_tol=1e-6):
-        return math.inf, True
-    gain = gain_function(v, cfg)
-    a, b = _signal_interval(scenario)
-    probe = np.linspace(a, b, 1025)
-    # tolerance scaled to the rough size of the integral: near-nulls make it
-    # large and an absolute 1e-9 would force needless deep recursion
-    rough = float(np.trapezoid(1.0 / directivity_gain(v, cfg, _to_phase(scenario, probe)), probe))
-    if rough / (b - a) > 1e6:
-        # harmonic mean gain below 1e-6: the derived bound is within rounding
-        # of zero, so the trapezoid estimate is already more precision than
-        # any consumer can see (isolated spikes were flagged by the null scan)
-        return rough / (b - a), False
-    tol = 1e-9 * max(1.0, abs(rough))
-    value = oscillation_simpson(
-        lambda x: 1.0 / gain(_to_phase(scenario, x)), a, b, cfg.elements, cfg.kd, tol=tol
-    )
-    return value / (b - a), False
-
-
-def _check_nondegenerate_region(scenario) -> None:
-    half_width = scenario.signal_region.half_width
-    if half_width <= 0.0 or half_width >= 1.0:
-        raise ValueError(
-            f"signal region half-width {half_width} is degenerate: the per-region "
-            "mean gains divide by the region and complement lengths"
+    @functools.cached_property
+    def inverse_gain(self) -> tuple[float, bool]:
+        """Mean of 1/gain over the signal region; (inf, True) when a null sits in-band."""
+        scenario, v, cfg = self.scenario, self.v, self.cfg
+        lo, hi = scenario.signal_region.bounds
+        # loose circle tolerance: a root this close to the unit circle makes the
+        # inverse-gain integral effectively divergent, and a spurious divergence
+        # flag only weakens a lower bound
+        if pattern_nulls(v, cfg, lo, hi, circle_tol=1e-6):
+            return math.inf, True
+        gain = gain_function(v, cfg)
+        a, b = _signal_interval(scenario)
+        probe = np.linspace(a, b, 1025)
+        # tolerance scaled to the rough size of the integral: near-nulls make it
+        # large and an absolute 1e-9 would force needless deep recursion
+        probe_gain = directivity_gain(v, cfg, _to_phase(scenario, probe))
+        rough = float(np.trapezoid(1.0 / probe_gain, probe))
+        if rough / (b - a) > 1e6:
+            # harmonic mean gain below 1e-6: the derived bound is within rounding
+            # of zero, so the trapezoid estimate is already more precision than
+            # any consumer can see (isolated spikes were flagged by the null scan)
+            return rough / (b - a), False
+        tol = 1e-9 * max(1.0, abs(rough))
+        value = oscillation_simpson(
+            lambda x: 1.0 / gain(_to_phase(scenario, x)), a, b, cfg.elements, cfg.kd, tol=tol
         )
+        return value / (b - a), False
 
+    @functools.cached_property
+    def inverse_noise(self) -> float:
+        """E{ 1 / (N0 + I) } over the interferer draws.
 
-def _approximation(scenario, mean_in: float, mean_out: float) -> float:
-    denominator = scenario.noise_power + scenario.total_interference * mean_out
-    return math.log2(1.0 + scenario.signal_power * mean_in / denominator)
+        Exact when there is no interference; 1-D quadrature when a single
+        interferer carries all the power; otherwise the Monte Carlo pass's
+        sample mean (common random numbers with the mean estimator).
+        """
+        scenario, noise = self.scenario, self.scenario.noise_power
+        active = [p for p in scenario.interferer_powers if p > 0]
+        if not active:
+            return 1.0 / noise
+        if len(active) > 1:
+            return self.mc[1]
+        power = active[0]
+        intervals = _interference_intervals(scenario)
+        gain = gain_function(self.v, self.cfg)
+
+        def integrand(x: float) -> float:
+            return 1.0 / (noise + power * gain(_to_phase(scenario, x)))
+
+        m, kd = self.cfg.elements, self.cfg.kd
+        acc = sum(oscillation_simpson(integrand, a, b, m, kd, tol=1e-10) for a, b in intervals)
+        return acc / sum(b - a for a, b in intervals)
+
+    def approximation(self) -> float:
+        scen, (mean_in, mean_out) = self.scenario, self.mean_gains
+        denominator = scen.noise_power + scen.total_interference * mean_out
+        return math.log2(1.0 + scen.signal_power * mean_in / denominator)
+
+    def upper_bound(self) -> float:
+        signal = self.scenario.signal_power * self.mean_gains[0]
+        return math.log2(1.0 + signal * self.inverse_noise)
+
+    def lower_bound(self) -> LowerBoundResult:
+        inverse_gain, diverged = self.inverse_gain
+        if diverged:
+            return LowerBoundResult(0.0, True)
+        scen = self.scenario
+        denominator = scen.total_interference * self.mean_gains[1] + scen.noise_power
+        harmonic_signal = scen.signal_power / inverse_gain
+        return LowerBoundResult(math.log2(1.0 + harmonic_signal / denominator), False)
 
 
 def capacity_approximation(scenario, v, cfg) -> float:
@@ -353,45 +407,12 @@ def capacity_approximation(scenario, v, cfg) -> float:
     lower bounds.  For the concentration weights the in-band mean gain equals
     lambda_max / (2 W).
     """
-    _check_nondegenerate_region(scenario)
-    return _approximation(scenario, *_region_mean_gains(scenario, v, cfg))
-
-
-def _mean_inverse_noise_plus_interference(scenario, v, cfg) -> float | None:
-    """E{ 1 / (N0 + I) } over the interferer draws.
-
-    Exact when there is no interference; 1-D quadrature when a single
-    interferer carries all the power; otherwise None, and the Monte Carlo
-    pass supplies it from the mean estimator's draws (common random numbers).
-    """
-    noise = scenario.noise_power
-    active = [(i, p) for i, p in enumerate(scenario.interferer_powers) if p > 0]
-    if not active:
-        return 1.0 / noise
-    if len(active) == 1:
-        power = active[0][1]
-        intervals = _interference_intervals(scenario)
-        total_len = sum(b - a for a, b in intervals)
-        gain = gain_function(v, cfg)
-
-        def integrand(x: float) -> float:
-            return 1.0 / (noise + power * gain(_to_phase(scenario, x)))
-
-        acc = 0.0
-        for a, b in intervals:
-            acc += oscillation_simpson(integrand, a, b, cfg.elements, cfg.kd, tol=1e-10)
-        return acc / total_len
-    return None
+    return _Expectations(scenario, v, cfg).approximation()
 
 
 def capacity_upper_bound(scenario, v, cfg, n_samples: int = 100_000, seed: int = 0) -> float:
     """log2(1 + E{S} * E{1/(N0 + I)}): the concave-side bound."""
-    _check_nondegenerate_region(scenario)
-    mean_in, _ = _region_mean_gains(scenario, v, cfg)
-    inv_mean = _mean_inverse_noise_plus_interference(scenario, v, cfg)
-    if inv_mean is None:
-        inv_mean = next(_mc_pass(scenario, [v], cfg, n_samples, seed))[1]
-    return math.log2(1.0 + scenario.signal_power * mean_in * inv_mean)
+    return _Expectations(scenario, v, cfg, n_samples, seed).upper_bound()
 
 
 def capacity_lower_bound(scenario, v, cfg) -> LowerBoundResult:
@@ -400,58 +421,35 @@ def capacity_lower_bound(scenario, v, cfg) -> LowerBoundResult:
     An in-band pattern null makes E{1/S} diverge; the bound then degrades to
     the trivial value 0 and the flag is set instead of raising.
     """
-    _check_nondegenerate_region(scenario)
-    return _lower_bound(scenario, v, cfg, lambda: _region_mean_gains(scenario, v, cfg)[1])
-
-
-def _lower_bound(scenario, v, cfg, mean_out) -> LowerBoundResult:
-    """:func:`capacity_lower_bound` with the out-of-band mean gain from
-    ``mean_out()``, which is not called when the bound diverges."""
-    inv_gain_mean, diverged = _region_mean_inverse_gain(scenario, v, cfg)
-    if diverged:
-        return LowerBoundResult(0.0, True)
-    harmonic_signal = scenario.signal_power / inv_gain_mean
-    denominator = scenario.total_interference * mean_out() + scenario.noise_power
-    return LowerBoundResult(math.log2(1.0 + harmonic_signal / denominator), False)
+    return _Expectations(scenario, v, cfg).lower_bound()
 
 
 def estimate_capacity(
-    scenario,
-    v,
-    cfg,
-    n_samples: int = 100_000,
-    seed: int = 0,
-    outage_quantiles: Sequence[float] = (50.0,),
-    *,
-    _gains=None,
+    scenario, v, cfg, n_samples: int = 100_000, seed: int = 0,
+    outage_quantiles: Sequence[float] = (50.0,), *, _gains=None,
 ) -> CapacityEstimates:
     """Mean, bounds, approximation, and outage quantiles in one pass.
 
-    One Monte Carlo pass feeds the mean, the outage quantiles and the upper
-    bound's expectation term.  ``_gains`` is for :func:`compare_synthesizers`,
-    which runs the pass over a group of tapers at once: it is the pass's
-    (capacity draws, E{1/(N0+I)}) for ``v``, of ``n_samples`` draws, and the
-    quantiles reorder those draws in place.
+    One expectation record and its Monte Carlo pass feed every figure.
+    ``_gains`` is for :func:`compare_synthesizers`, which runs the pass over a
+    group of tapers at once: it is the pass's (capacity draws, E{1/(N0+I)})
+    for ``v``, of ``n_samples`` draws, and the quantiles reorder them in place.
     """
-    _check_nondegenerate_region(scenario)
-    if _gains is None:
-        _gains = next(_mc_pass(scenario, [v], cfg, n_samples, seed))
-    draws, mc_inv_mean = _gains
+    for q in outage_quantiles:
+        _check_outage_percentage(q)
+    record = _Expectations(scenario, v, cfg, n_samples, seed, mc=_gains)
+    draws = record.mc[0]
     if draws.size != n_samples:
         raise ValueError(f"precomputed gains hold {draws.size} draws, expected {n_samples}")
     mean, stderr = _mean_and_stderr(draws)
     outage = {float(q): _quantile(draws, q) for q in outage_quantiles}
-    mean_in, mean_out = _region_mean_gains(scenario, v, cfg)
-    inv_mean = _mean_inverse_noise_plus_interference(scenario, v, cfg)
-    if inv_mean is None:
-        inv_mean = mc_inv_mean
-    lower = _lower_bound(scenario, v, cfg, lambda: mean_out)
+    lower = record.lower_bound()
     return CapacityEstimates(
         mean=mean,
         stderr=stderr,
-        upper_bound=math.log2(1.0 + scenario.signal_power * mean_in * inv_mean),
+        upper_bound=record.upper_bound(),
         lower_bound=lower.value,
-        approximation=_approximation(scenario, mean_in, mean_out),
+        approximation=record.approximation(),
         outage=outage,
         lower_bound_diverged=lower.diverged,
     )
@@ -520,9 +518,13 @@ def verify_ordering(scenario, v, cfg, n_samples: int = 100_000, seed: int = 0) -
 
 def outage_capacity_mc(scenario, v, cfg, q: float, n_samples: int = 100_000, seed: int = 0) -> float:
     """Empirical q% outage capacity: the rate exceeded in (100 - q)% of draws."""
+    _check_outage_percentage(q)
+    return _quantile(_capacity_draws(scenario, v, cfg, n_samples, seed), q)
+
+
+def _check_outage_percentage(q: float) -> None:
     if not 0.0 < q < 100.0:
         raise ValueError(f"outage percentage must be in (0, 100), got {q}")
-    return _quantile(_capacity_draws(scenario, v, cfg, n_samples, seed), q)
 
 
 def _quantile(draws: np.ndarray, q: float) -> float:
@@ -562,20 +564,20 @@ def compare_synthesizers(
     than sampling noise.  The baselines share one scenario and go through the
     Monte Carlo pass in groups of M on shared phasors.
     """
-    rows: list[ComparisonRow] = []
     center = scenario.signal_region.center
-    for w in w_grid:
-        scen = replace(scenario, signal_region=PhaseRegion(half_width=float(w), center=center))
-        design = slepian_weights(cfg, float(w))
-        weights = steer(design, center) if center != 0.0 else design.weights
+    sweep = []  # every design is checked before the first Monte Carlo pass
+    for w in map(float, w_grid):
+        scen = replace(scenario, signal_region=PhaseRegion(half_width=w, center=center))
+        design = slepian_weights(cfg, w)
+        sweep.append((w, scen, steer(design, center) if center != 0.0 else design.weights))
+    rows: list[ComparisonRow] = []
+    for w, scen, weights in sweep:
         gains = next(_mc_pass(scen, [weights], cfg, n_samples, seed))
         est = estimate_capacity(scen, weights, cfg, n_samples, seed, _gains=gains)
-        rows.append(_row("slepian", float(w), est))
-    baselines = [
-        ("dft", None, dft_weights(cfg.elements)),
-        ("binomial", None, binomial_weights(cfg.elements)),
-    ] + [
-        ("chebyshev", float(att), chebyshev_weights(cfg.elements, float(att)))
+        rows.append(_row("slepian", w, est))
+    m = cfg.elements
+    baselines = [("dft", None, dft_weights(m)), ("binomial", None, binomial_weights(m))] + [
+        ("chebyshev", float(att), chebyshev_weights(m, float(att)))
         for att in chebyshev_attenuations_db
     ]
     tapers = [weights for _, _, weights in baselines]
@@ -588,14 +590,8 @@ def compare_synthesizers(
 
 def _row(name: str, param, est: CapacityEstimates) -> ComparisonRow:
     return ComparisonRow(
-        synthesizer=name,
-        param=param,
-        mean=est.mean,
-        stderr=est.stderr,
-        ub=est.upper_bound,
-        lb=est.lower_bound,
-        approx=est.approximation,
-        outage50=est.outage[50.0],
+        name, param, est.mean, est.stderr, est.upper_bound, est.lower_bound,
+        est.approximation, est.outage[50.0],
     )
 
 

@@ -227,26 +227,26 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
-    if args.samples < 1:
-        raise ValueError("--samples must be positive")
-    if args.interferers < 0:
-        raise ValueError("--interferers must be nonnegative")
-    if args.seed < 0:
-        raise ValueError("--seed must be nonnegative")
     cfg = ArrayConfig(args.elements, args.spacing)
+    region = PhaseRegion(half_width=args.region_width, center=args.region_center)
     scenario = CapacityScenario.equal_interferers(
-        args.ps,
-        args.pi_total,
-        args.n0,
-        PhaseRegion(half_width=args.region_width, center=args.region_center),
-        n_interferers=args.interferers,
-        domain=args.domain,
+        args.ps, args.pi_total, args.n0, region, n_interferers=args.interferers, domain=args.domain
     )
-    w_grid = args.w_grid if args.w_grid is not None else DEFAULT_W_GRID
+    fits = [w for w in DEFAULT_W_GRID if w + abs(args.region_center) <= 1.0]
+    w_grid = args.w_grid if args.w_grid is not None else fits
     att_grid = args.att_grid if args.att_grid is not None else DEFAULT_ATT_GRID
     rows = compare_synthesizers(cfg, scenario, w_grid, att_grid, args.samples, args.seed)
     out = _out_path(args.output)
     write_comparison_csv(rows, out)
+    slepian = [r for r in rows if r.synthesizer == "slepian"]
+    chebyshev = [r for r in rows if r.synthesizer == "chebyshev"]
+    summary = {  # null where the family has no rows
+        "slepian_at_region": min(
+            slepian, key=lambda r: abs(r.param - args.region_width), default=None
+        ),
+        "slepian_best": max(slepian, key=lambda r: r.mean, default=None),
+        "chebyshev_best": max(chebyshev, key=lambda r: r.mean, default=None),
+    }
     meta = {
         "elements": args.elements,
         "spacing": args.spacing,
@@ -262,6 +262,7 @@ def _cmd_capacity(args) -> int:
         "w_grid": w_grid,
         "att_grid": att_grid,
         "tool_version": __version__,
+        "summary": {k: r and {"param": r.param, "mean": r.mean} for k, r in summary.items()},
     }
     meta_path = out.with_suffix(out.suffix + ".meta.json")
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")

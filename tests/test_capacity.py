@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -21,10 +22,9 @@ from slepbeam.capacity import (
     verify_ordering,
     write_comparison_csv,
     _BLOCK,
+    _Expectations,
     _interferer_phases,
     _mc_pass,
-    _mean_inverse_noise_plus_interference,
-    _region_mean_gains,
     _rng,
     _signal_phases,
 )
@@ -40,6 +40,17 @@ from slepbeam.synthesizers import (
 
 CFG5 = ArrayConfig(5, 0.5)
 FIG9 = CapacityScenario.equal_interferers(1.0, 0.6, 0.1, PhaseRegion(half_width=0.2))
+
+
+def _no_pass(*args):
+    raise AssertionError("a Monte Carlo pass ran")
+
+
+def _patch_record(monkeypatch, name, fn):
+    """Swap one lazily evaluated field of the expectation record for ``fn``."""
+    field = functools.cached_property(fn)
+    field.__set_name__(_Expectations, name)
+    monkeypatch.setattr(_Expectations, name, field)
 
 
 class TestScenario:
@@ -215,7 +226,7 @@ class TestMeanCapacity:
 class TestApproximation:
     def test_concentration_weights_closed_form(self):
         result = slepian_weights(CFG5, 0.2)
-        mean_in, mean_out = _region_mean_gains(FIG9, result.weights, CFG5)
+        mean_in, mean_out = _Expectations(FIG9, result.weights, CFG5).mean_gains
         assert mean_in == pytest.approx(result.lambda_max / 0.4, rel=1e-12)
         assert mean_out == pytest.approx((2.0 - result.lambda_max) / 1.6, rel=1e-10)
         approx = capacity_approximation(FIG9, result.weights, CFG5)
@@ -266,7 +277,7 @@ class TestUpperBound:
     def test_single_interferer_quadrature_matches_mc(self):
         scenario = CapacityScenario(1.0, (0.6,), 0.1, PhaseRegion(half_width=0.2))
         v = slepian_weights(CFG5, 0.2).weights
-        quad = _mean_inverse_noise_plus_interference(scenario, v, CFG5)
+        quad = _Expectations(scenario, v, CFG5).inverse_noise
         draws, mc_inverse = next(_mc_pass(scenario, [v], CFG5, 100_000, 13))
         gain0 = directivity_gain(v, CFG5, _signal_draws(scenario, 100_000, 13))
         noise_plus_interference = 0.1 + 0.6 * directivity_gain(
@@ -361,6 +372,16 @@ class TestOutage:
         med_conc = outage_capacity_mc(FIG9, v, CFG5, 50.0, 50_000, 6)
         med_unif = outage_capacity_mc(FIG9, dft_weights(5), CFG5, 50.0, 50_000, 6)
         assert med_conc > med_unif
+
+    @pytest.mark.parametrize("q", [0.0, 100.0, 150.0, -1.0, math.nan])
+    @pytest.mark.parametrize("entry", ["outage_capacity_mc", "estimate_capacity"])
+    def test_bad_percentage_rejected_before_the_pass(self, monkeypatch, entry, q):
+        monkeypatch.setattr(capacity_module, "_mc_pass", _no_pass)
+        with pytest.raises(ValueError, match=r"outage percentage must be in \(0, 100\)"):
+            if entry == "outage_capacity_mc":
+                outage_capacity_mc(FIG9, dft_weights(5), CFG5, q, 2_000, 0)
+            else:
+                estimate_capacity(FIG9, dft_weights(5), CFG5, 2_000, 0, outage_quantiles=(50.0, q))
 
     def test_quantile_bounds_checked(self):
         with pytest.raises(ValueError):
@@ -463,17 +484,88 @@ class TestCompare:
         v = slepian_weights(cfg, 0.2).weights
         lb = capacity_lower_bound(scenario, v, cfg)
         calls = []
-        original = capacity_module._region_mean_gains
+        original = _Expectations.mean_gains.func
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(record):
+            calls.append(record)
+            return original(record)
 
-        monkeypatch.setattr(capacity_module, "_region_mean_gains", counted)
+        _patch_record(monkeypatch, "mean_gains", counted)
         est = estimate_capacity(scenario, v, cfg, 3_000, 2)
         assert len(calls) == 1
         assert (est.lower_bound, est.lower_bound_diverged) == (lb.value, lb.diverged)
         assert not lb.diverged
+
+
+class TestExpectationRecord:
+    """Each entry point evaluates only the expectations its formula reads."""
+
+    @pytest.mark.parametrize("domain, spacing", [("phase", 0.4), ("phase", 0.5), ("angular", 0.5)])
+    def test_approximation_scans_no_nulls_and_draws_nothing(self, monkeypatch, domain, spacing):
+        cfg = ArrayConfig(6, spacing)
+        scenario = replace(FIG9, domain=domain)
+        v = slepian_weights(cfg, 0.2).weights
+        want = capacity_approximation(scenario, v, cfg)
+
+        def no_nulls(*args, **kwargs):
+            raise AssertionError("pattern_nulls ran")
+
+        monkeypatch.setattr(capacity_module, "pattern_nulls", no_nulls)
+        monkeypatch.setattr(capacity_module, "_mc_pass", _no_pass)
+        assert capacity_approximation(scenario, v, cfg) == want
+
+    def test_diverging_lower_bound_skips_mean_gains(self, monkeypatch):
+        def no_mean_gains(record):
+            raise AssertionError("mean gains evaluated")
+
+        _patch_record(monkeypatch, "mean_gains", no_mean_gains)
+        scenario = replace(FIG9, signal_region=PhaseRegion(half_width=0.5))
+        assert capacity_lower_bound(scenario, dft_weights(5), CFG5) == (0.0, True)
+
+    @pytest.mark.parametrize("powers", [(), (0.6,), (0.0, 0.6, 0.0)])
+    @pytest.mark.parametrize("domain", ["phase", "angular"])
+    def test_upper_bound_runs_no_pass_below_two_interferers(self, monkeypatch, powers, domain):
+        scenario = CapacityScenario(1.0, powers, 0.1, PhaseRegion(half_width=0.2), domain=domain)
+        v = slepian_weights(CFG5, 0.2).weights
+        want = capacity_upper_bound(scenario, v, CFG5)
+        monkeypatch.setattr(capacity_module, "_mc_pass", _no_pass)
+        assert capacity_upper_bound(scenario, v, CFG5) == want
+        assert math.isfinite(want)
+
+    def test_upper_bound_takes_two_interferers_from_one_pass(self, monkeypatch):
+        v = slepian_weights(CFG5, 0.2).weights
+        passes = []
+        original = capacity_module._mc_pass
+
+        def counted(*args):
+            passes.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(capacity_module, "_mc_pass", counted)
+        ub = capacity_upper_bound(FIG9, v, CFG5, 3_000, 8)
+        est = estimate_capacity(FIG9, v, CFG5, 3_000, 8)
+        assert len(passes) == 2
+        assert ub == est.upper_bound
+
+    def test_precomputed_pass_is_not_rerun(self, monkeypatch):
+        v = dft_weights(5)
+        gains = next(_mc_pass(FIG9, [v], CFG5, 3_000, 5))
+        want = estimate_capacity(FIG9, v, CFG5, 3_000, 5)
+        monkeypatch.setattr(capacity_module, "_mc_pass", _no_pass)
+        assert estimate_capacity(FIG9, v, CFG5, 3_000, 5, _gains=gains) == want
+
+    @pytest.mark.parametrize("half_width", [1.0, 1.0 + 1e-13])
+    def test_degenerate_region_rejected_by_every_entry_point(self, half_width):
+        scenario = CapacityScenario(1.0, (), 0.1, PhaseRegion(half_width=half_width))
+        v = dft_weights(5)
+        for call in (
+            lambda: capacity_approximation(scenario, v, CFG5),
+            lambda: capacity_upper_bound(scenario, v, CFG5, 2_000),
+            lambda: capacity_lower_bound(scenario, v, CFG5),
+            lambda: estimate_capacity(scenario, v, CFG5, 2_000),
+        ):
+            with pytest.raises(ValueError, match="degenerate"):
+                call()
 
 
 def _unblocked(scenario, v, cfg, n, seed):
@@ -510,7 +602,7 @@ class TestBlockedPass:
             assert est.mean == float(want.mean())
             assert est.stderr == float(want.std(ddof=1) / math.sqrt(n))
             assert est.outage[50.0] == float(np.quantile(want, 0.5))
-            mean_in, _ = _region_mean_gains(scenario, v, CFG5)
+            mean_in, _ = _Expectations(scenario, v, CFG5).mean_gains
             ub = math.log2(1.0 + scenario.signal_power * mean_in * want_inverse)
             assert abs(est.upper_bound - ub) <= 4 * math.ulp(ub)
 
@@ -553,3 +645,12 @@ class TestMonteCarloMemory:
         compare_synthesizers(CFG5, FIG9, *grids, 2_000, 3)
         peak = _traced_peak(lambda: compare_synthesizers(CFG5, FIG9, *grids, self.N, 3))
         assert peak <= 8 * (CFG5.elements + 4) * self.N
+
+    def test_table_peak_does_not_grow_with_the_width_grid(self):
+        """Every width is designed before the first pass, but each width's
+        draws are released before the next width's pass runs."""
+        widths = [0.1, 0.15, 0.2, 0.25, 0.3, 0.35]
+        compare_synthesizers(CFG5, FIG9, widths, [], 2_000, 3)
+        one = _traced_peak(lambda: compare_synthesizers(CFG5, FIG9, widths[:1], [], self.N, 3))
+        many = _traced_peak(lambda: compare_synthesizers(CFG5, FIG9, widths, [], self.N, 3))
+        assert many <= one + 4 * self.N

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from slepbeam.cli import main
+from slepbeam import capacity
+from slepbeam.cli import DEFAULT_W_GRID, main
 from slepbeam.synthesizers import read_weights_csv
 
 
@@ -158,6 +159,66 @@ class TestCapacity:
     def test_zero_samples_exits_2(self, tmp_path, capsys):
         assert run(["capacity", "--elements", 5, "--samples", 0,
                     "--output", tmp_path / "c.csv"]) == 2
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples", 0, "need at least 1000 samples, got 0"),
+        ("--samples", 999, "need at least 1000 samples, got 999"),
+        ("--interferers", -1, "n_interferers must be nonnegative"),
+        ("--seed", -1, "seed must be nonnegative"),
+    ])
+    def test_library_input_checks_exit_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "c.csv"
+        assert run(["capacity", "--elements", 4, "--w-grid", "0.2", "--att-grid", "25",
+                    flag, value, "--output", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_steered_default_grid_keeps_the_widths_that_fit(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run(["capacity", "--elements", 5, "--region-center", 0.3, "--samples", 1000,
+                    "--att-grid", "25", "--output", out]) == 0
+        meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
+        assert meta["w_grid"] == DEFAULT_W_GRID[:35]
+        assert meta["w_grid"][-1] == 0.7
+        assert len(out.read_text().splitlines()) == 1 + 35 + 2 + 1
+
+    @pytest.mark.parametrize("spacing, w_grid, message", [
+        (0.5, "0.2,0.72", "exceeds the visible space"),
+        (0.7, "0.1,0.5", "grating"),
+    ])
+    def test_unfit_width_grid_exits_2_before_any_pass(
+        self, tmp_path, capsys, monkeypatch, spacing, w_grid, message
+    ):
+        passes = []
+        monkeypatch.setattr(capacity, "_mc_pass", lambda *args: passes.append(args))
+        out = tmp_path / "c.csv"
+        assert run(["capacity", "--elements", 5, "--spacing", spacing, "--region-center", 0.3,
+                    "--w-grid", w_grid, "--output", out]) == 2
+        assert message in capsys.readouterr().err
+        assert passes == []
+        assert not out.exists()
+
+    def test_meta_summary(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run(["capacity", "--elements", 5, "--samples", 2000, "--w-grid", "0.1,0.18,0.3",
+                    "--att-grid", "20,40", "--output", out]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        means = {(name, float(param) if param else None): float(mean)
+                 for name, param, mean, *_ in rows}
+        summary = json.loads((tmp_path / "c.csv.meta.json").read_text())["summary"]
+        at_region = summary["slepian_at_region"]
+        assert at_region == {"param": 0.18, "mean": means[("slepian", 0.18)]}
+        slepian_best = max((m, p) for (n, p), m in means.items() if n == "slepian")
+        assert summary["slepian_best"] == {"param": slepian_best[1], "mean": slepian_best[0]}
+        chebyshev_best = max((m, p) for (n, p), m in means.items() if n == "chebyshev")
+        assert summary["chebyshev_best"] == {"param": chebyshev_best[1], "mean": chebyshev_best[0]}
+
+    def test_meta_summary_is_null_for_an_empty_family(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run(["capacity", "--elements", 4, "--samples", 1000, "--w-grid", "",
+                    "--att-grid", "", "--output", out]) == 0
+        summary = json.loads((tmp_path / "c.csv.meta.json").read_text())["summary"]
+        assert summary == {"slepian_at_region": None, "slepian_best": None, "chebyshev_best": None}
 
     def test_fixed_seed_reruns_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
