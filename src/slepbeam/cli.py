@@ -30,6 +30,7 @@ from .quadrature import QuadratureError
 from .synthesizers import (
     DegenerateWidthError,
     SteeringLimitError,
+    _check_steering_limits,
     binomial_weights,
     chebyshev_weights,
     dft_weights,
@@ -226,14 +227,28 @@ def _cmd_pattern(args) -> int:
     return 0
 
 
+def _steerable_widths(cfg: ArrayConfig, center: float) -> list[float]:
+    """The default widths whose designs the table can steer to ``center``
+    (all of them at broadside, where it does not steer)."""
+    if center == 0.0:
+        return DEFAULT_W_GRID
+    fits = []
+    for w in DEFAULT_W_GRID:
+        try:
+            _check_steering_limits(cfg, w, center)
+        except SteeringLimitError:
+            continue
+        fits.append(w)
+    return fits
+
+
 def _cmd_capacity(args) -> int:
     cfg = ArrayConfig(args.elements, args.spacing)
     region = PhaseRegion(half_width=args.region_width, center=args.region_center)
     scenario = CapacityScenario.equal_interferers(
         args.ps, args.pi_total, args.n0, region, n_interferers=args.interferers, domain=args.domain
     )
-    fits = [w for w in DEFAULT_W_GRID if w + abs(args.region_center) <= 1.0]
-    w_grid = args.w_grid if args.w_grid is not None else fits
+    w_grid = args.w_grid if args.w_grid is not None else _steerable_widths(cfg, args.region_center)
     att_grid = args.att_grid if args.att_grid is not None else DEFAULT_ATT_GRID
     rows = compare_synthesizers(cfg, scenario, w_grid, att_grid, args.samples, args.seed)
     out = _out_path(args.output)

@@ -184,26 +184,25 @@ def commuting_tridiagonal(elements: int, w_norm: float) -> np.ndarray:
     return tri
 
 
-def extreme_concentration_taper(cfg: ArrayConfig, half_width: float, most: bool) -> np.ndarray | None:
-    """Most- or least-concentrated unit taper for the band [-W, W].
+def extreme_concentration_taper(cfg: ArrayConfig, half_width: float) -> np.ndarray:
+    """All unit tapers for the band [-W, W] as columns, most concentrated first.
 
     Routed through the commuting tridiagonal, so it stays accurate where the
-    band matrix eigenvalues are degenerate to working precision.  Band
-    occupancies kd*W/pi in (0, 1) map directly; (1, 2) maps to the
-    complementary prolate problem with the concentration order reversed.
-    Returns None outside those ranges (including exactly 1, where the band
-    matrix is a scaled identity).
+    band matrix eigenvalues are degenerate to working precision.  A band that
+    holds k full pattern periods adds a multiple of the identity to the band
+    matrix, so the occupancy r = kd*W/pi is reduced modulo 2: r in (0, 1)
+    maps directly, r in [1, 2) maps to the complementary prolate problem with
+    the concentration order reversed.  At an integer r the band matrix is a
+    scaled identity and any basis is concentrated alike; the tridiagonal
+    still returns one.  The benchmark tracer (perfbench/tracer.py) times the
+    design's eigensolve under this name, as ``concentration.taper_ms``.
     """
-    ratio = cfg.kd * half_width / math.pi
-    if not 0.0 < ratio < 2.0 or abs(ratio - 1.0) < 1e-15:
-        return None
+    ratio = math.fmod(cfg.kd * half_width / math.pi, 2.0)
     if ratio < 1.0:
         tri = commuting_tridiagonal(cfg.elements, 0.5 * ratio)
-        column = 0 if most else cfg.elements - 1
-    else:
-        tri = commuting_tridiagonal(cfg.elements, 1.0 - 0.5 * ratio)
-        column = cfg.elements - 1 if most else 0
-    return eigh_symmetric(tri).eigenvectors[:, column].copy()
+        return eigh_symmetric(tri).eigenvectors
+    tri = commuting_tridiagonal(cfg.elements, 1.0 - 0.5 * ratio)
+    return eigh_symmetric(tri).eigenvectors[:, ::-1]
 
 
 def min_eigenvalue(matrix) -> float:
@@ -229,9 +228,7 @@ def min_eigenvalue(matrix) -> float:
     if abs(smallest) > 1e-12 * np.linalg.norm(entries, "fro"):
         return smallest
     cfg = ArrayConfig(matrix.order, matrix.kd / (2.0 * math.pi))
-    taper = extreme_concentration_taper(cfg, hi, most=False)
-    if taper is None:
-        return smallest
+    taper = extreme_concentration_taper(cfg, hi)[:, -1]
     return oscillation_simpson(gain_function(taper, cfg), lo, hi, cfg.elements, cfg.kd, tol=1e-12)
 
 

@@ -1,9 +1,10 @@
 """Dense symmetric/Hermitian eigen machinery built on cyclic Jacobi rotations.
 
-Everything is value-in/value-out on small dense matrices (order <= 64 in
-practice).  numpy supplies the array arithmetic only; the factorizations and
-eigensolvers are implemented here so that ordering, sign conventions, and
-failure modes are fully pinned down and reproducible.
+Everything is value-in/value-out on small dense matrices (order <= 128 in
+practice, the largest array designed).  numpy supplies the array arithmetic
+only; the factorizations and eigensolvers are implemented here so that
+ordering, sign conventions, and failure modes are fully pinned down and
+reproducible.
 """
 
 from __future__ import annotations

@@ -23,12 +23,7 @@ from .concentration import (
     interval_concentration_matrix,
     sinc,
 )
-from .linalg import (
-    NotPositiveDefiniteError,
-    eigh_symmetric,
-    generalized_eigh,
-    hermitize,
-)
+from .linalg import NotPositiveDefiniteError, generalized_eigh, hermitize
 
 __all__ = [
     "DegenerateWidthError",
@@ -88,22 +83,21 @@ def slepian_weights(cfg: ArrayConfig, half_width: float) -> SynthesisResult:
 
     Intended for half-wavelength spacing (kd = pi), where the out-of-band
     energy matrix is 2I - A and the achieved in-band energy equals the top
-    eigenvalue.  Other spacings still solve the same in-band eigenproblem of
-    A, but the visible-space interference treatment then needs
-    :func:`slepian_weights_general`.  The reported quotient is the in/out
-    ratio of the weights over the visible space at any spacing,
-    e_in / (e_vis - e_in), from their closed-form in-band and visible
-    energies (e_in is lambda_max to the eigensolver's accuracy, e_vis is 2 at
-    kd = pi to rounding).
+    eigenvalue.  Other spacings still maximize the in-band energy, but the
+    visible-space interference treatment then needs
+    :func:`slepian_weights_general`.
 
-    e_in rather than lambda_max goes into the difference: the Jacobi
-    eigenvalue is up to 1.5e3 eps off (M=20, W=0.52), while the rounding
-    errors of two closed-form energies of the same weights largely cancel;
-    against 40-digit evaluations their difference stayed within
-    2.3 eps e_vis for M = 4-128, W = 0.3-0.998 and d = 0.35-0.5.  A wide
-    band's true out-of-band energy can fall far below that, so a difference
-    within 64 eps e_vis carries no significant digit: the quotient is then
-    inf and a warning says so.
+    One eigensolve, of the commuting tridiagonal, gives every taper (see
+    :func:`~slepbeam.concentration.extreme_concentration_taper`); the
+    weights are the most concentrated one.  ``lambda_max`` and the gap are
+    closed-form energies of those tapers: lambda_max is the in-band energy
+    e_in of the weights, and the gap is e_in less that of the second taper,
+    clamped at 0 because a gap below rounding can come out negative.  The
+    reported quotient is the in/out ratio of the weights over the visible
+    space at any spacing, e_in / (e_vis - e_in).  A wide band's true
+    out-of-band energy can fall below the rounding of that difference, so a
+    difference within 64 eps e_vis carries no significant digit: the
+    quotient is then inf and a warning says so.
     """
     if not 0.0 < half_width < 1.0:
         raise DegenerateWidthError(
@@ -112,28 +106,20 @@ def slepian_weights(cfg: ArrayConfig, half_width: float) -> SynthesisResult:
             "eigenvector is undetermined at both endpoints; pass e.g. 1e-3 or "
             "1 - 1e-3 to approach the limiting beams"
         )
-    band = concentration_matrix(cfg, half_width)
-    dec = eigh_symmetric(band.entries)
-    lam = float(dec.eigenvalues[0])
-    gap = float(dec.eigenvalues[0] - dec.eigenvalues[1]) if cfg.elements > 1 else math.inf
-    # the tridiagonal route keeps the vector well defined where the band
-    # matrix spectrum clusters (width limits); the Jacobi vector covers the
-    # occupancies the tridiagonal mapping does not
-    weights = extreme_concentration_taper(cfg, half_width, most=True)
+    tapers = extreme_concentration_taper(cfg, half_width)
+    weights = tapers[:, 0].copy()
+    in_band = band_power(weights, cfg, -half_width, half_width)
+    if cfg.elements > 1:
+        gap = max(in_band - band_power(tapers[:, 1], cfg, -half_width, half_width), 0.0)
+    else:
+        gap = math.inf
     if gap < _EIGENGAP_WARN:
-        detail = (
-            "the weights are pinned by the commuting tridiagonal operator"
-            if weights is not None
-            else "the returned weights are one vector of a degenerate eigenspace"
-        )
         warnings.warn(
-            f"top eigenvalue has near multiplicity (gap {gap:.3e}); {detail}",
+            f"top eigenvalue has near multiplicity (gap {gap:.3e}); "
+            "the weights are pinned by the commuting tridiagonal operator",
             stacklevel=2,
         )
-    if weights is None:
-        weights = dec.eigenvectors[:, 0].copy()
     visible = band_power(weights, cfg, -1.0, 1.0)
-    in_band = band_power(weights, cfg, -half_width, half_width)
     if visible - in_band <= _ROUNDING_ENERGY * visible:
         warnings.warn(
             f"out-of-band energy below rounding at half_width={half_width!r}: "
@@ -145,7 +131,7 @@ def slepian_weights(cfg: ArrayConfig, half_width: float) -> SynthesisResult:
         quotient = in_band / (visible - in_band)
     return SynthesisResult(
         weights=weights,
-        lambda_max=lam,
+        lambda_max=in_band,
         eigengap=gap,
         region=PhaseRegion(half_width=half_width),
         config=cfg,

@@ -182,6 +182,16 @@ class TestCapacity:
         assert meta["w_grid"][-1] == 0.7
         assert len(out.read_text().splitlines()) == 1 + 35 + 2 + 1
 
+    def test_steered_default_grid_stops_at_the_grating_limit(self, tmp_path):
+        # kd = 1.4 pi: the grating copy of a band centred at 0.3 stays out of
+        # the visible space only for widths up to 1/0.7 - 1.3 = 0.1286
+        out = tmp_path / "c.csv"
+        assert run(["capacity", "--elements", 5, "--spacing", 0.7, "--region-center", 0.3,
+                    "--samples", 1000, "--att-grid", "25", "--output", out]) == 0
+        meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
+        assert meta["w_grid"] == DEFAULT_W_GRID[:6] == [0.02, 0.04, 0.06, 0.08, 0.1, 0.12]
+        assert len(out.read_text().splitlines()) == 1 + 6 + 2 + 1
+
     @pytest.mark.parametrize("spacing, w_grid, message", [
         (0.5, "0.2,0.72", "exceeds the visible space"),
         (0.7, "0.1,0.5", "grating"),

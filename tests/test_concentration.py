@@ -286,13 +286,9 @@ class TestExtremeTaper:
         cfg = ArrayConfig(6, 0.5)
         matrix = concentration_matrix(cfg, 0.3)
         dec = eigh_symmetric(matrix.entries)
-        taper = extreme_concentration_taper(cfg, 0.3, most=True)
-        np.testing.assert_allclose(taper, dec.eigenvectors[:, 0], atol=1e-10)
-        least = extreme_concentration_taper(cfg, 0.3, most=False)
-        np.testing.assert_allclose(least, dec.eigenvectors[:, -1], atol=1e-10)
-
-    def test_none_outside_mapped_range(self):
-        assert extreme_concentration_taper(ArrayConfig(4, 1.2), 0.9, most=True) is None
+        tapers = extreme_concentration_taper(cfg, 0.3)
+        np.testing.assert_allclose(tapers[:, 0], dec.eigenvectors[:, 0], atol=1e-10)
+        np.testing.assert_allclose(tapers[:, -1], dec.eigenvectors[:, -1], atol=1e-10)
 
 
 def test_matrix_debug_json_schema():

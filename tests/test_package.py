@@ -1,5 +1,6 @@
-"""The package surface: every exported name resolves, and the package root
-imports only names that their modules export."""
+"""The package surface: every exported name resolves, the package root
+imports only names that their modules export, every function the benchmark
+tracer times exists, and nothing imports the undeclared scipy or mpmath."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import pytest
 import slepbeam
 
 PACKAGE = Path(slepbeam.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("_"))
 
 
@@ -37,3 +39,37 @@ def test_root_imports_are_module_exports(name):
     unexported = [n for n in imported if n not in module.__all__]
     assert not unexported, f"slepbeam imports {unexported} outside slepbeam.{name}.__all__"
     assert all(getattr(slepbeam, n) is getattr(module, n) for n in imported)
+
+
+def _tracer_targets() -> list[tuple[str, str]]:
+    """TARGETS of perfbench/tracer.py, read without importing the benchmark."""
+    tree = ast.parse((REPO / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+@pytest.mark.parametrize("module, name", _tracer_targets())
+def test_tracer_targets_resolve(module, name):
+    assert callable(getattr(importlib.import_module(f"slepbeam.{module}"), name, None))
+
+
+def _imported_roots(path: Path) -> set[str]:
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_no_undeclared_numeric_dependencies():
+    files = [p for top in ("src", "tests", "perfbench") for p in sorted((REPO / top).rglob("*.py"))]
+    offending = {
+        str(p.relative_to(REPO)): sorted(roots)
+        for p in files
+        if (roots := _imported_roots(p) & {"scipy", "mpmath"})
+    }
+    assert files and not offending

@@ -1,11 +1,15 @@
 import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from slepbeam import concentration, linalg, synthesizers
 from slepbeam.array_model import ArrayConfig, array_factor, band_power
 from slepbeam.concentration import PhaseRegion, concentration_matrix, interval_concentration_matrix
-from slepbeam.linalg import quadratic_form
+from slepbeam.linalg import _fix_signs, quadratic_form
 from slepbeam.synthesizers import (
     DegenerateWidthError,
     SteeringLimitError,
@@ -22,7 +26,13 @@ from slepbeam.synthesizers import (
     write_weights_csv,
 )
 
+sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
+from generate import SLEPIAN_DESIGNS  # noqa: E402
+
 CFG5 = ArrayConfig(5, 0.5)
+EPS = np.finfo(float).eps
+# (M, d, W) where the dense Jacobi eigenvalue was 418-1514 eps off eigvalsh
+JACOBI_LAMBDA_CASES = [(20, 0.5, 0.5209), (8, 0.5, 0.9452), (4, 0.5, 0.998)]
 
 BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / math.sqrt(70.0)
 
@@ -147,6 +157,64 @@ class TestSlepianWeights:
                 for w in (0.8, 0.9, 0.95, 0.99, 0.999)
             ]
         assert all(a > b for a, b in zip(to_pascal, to_pascal[1:]))
+
+
+class TestOneTridiagonalRoute:
+    """The design is one eigensolve of the commuting tridiagonal; numpy's
+    dense eigensolvers serve as the reference here only."""
+
+    @staticmethod
+    def reference(cfg, half_width):
+        values, vectors = np.linalg.eigh(concentration_matrix(cfg, half_width).entries)
+        return values[::-1], _fix_signs(vectors[:, ::-1].copy())
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("elements, spacing, half_width", SLEPIAN_DESIGNS + JACOBI_LAMBDA_CASES)
+    def test_lambda_and_gap_match_eigvalsh(self, elements, spacing, half_width):
+        cfg = ArrayConfig(elements, spacing)
+        result = slepian_weights(cfg, half_width)
+        values, _ = self.reference(cfg, half_width)
+        bound = 4 * elements * EPS * values[0]
+        assert abs(result.lambda_max - values[0]) <= bound
+        assert result.eigengap >= 0.0
+        if values[0] - values[1] > 1e-10:
+            assert abs(result.eigengap - (values[0] - values[1])) <= bound
+
+    @pytest.mark.parametrize("elements, spacing, half_width", [(4, 1.2, 0.9), (5, 1.1, 0.95), (8, 1.5, 0.9)])
+    def test_occupancy_above_two_matches_top_vector(self, elements, spacing, half_width):
+        cfg = ArrayConfig(elements, spacing)
+        assert cfg.kd * half_width / math.pi > 2.0
+        result = slepian_weights(cfg, half_width)
+        values, vectors = self.reference(cfg, half_width)
+        np.testing.assert_allclose(result.weights, vectors[:, 0], rtol=0, atol=1e-9)
+        assert abs(result.lambda_max - values[0]) <= 4 * elements * EPS * values[0]
+
+    @pytest.mark.parametrize("elements, spacing, half_width", [(5, 1.0, 0.5), (8, 0.625, 0.8), (4, 2.5, 0.4)])
+    def test_integer_occupancy_is_a_flagged_scaled_identity(self, elements, spacing, half_width):
+        cfg = ArrayConfig(elements, spacing)
+        assert cfg.kd * half_width / math.pi == pytest.approx(round(cfg.kd * half_width / math.pi), abs=1e-14)
+        with pytest.warns(UserWarning, match="multiplicity"):
+            result = slepian_weights(cfg, half_width)
+        assert np.linalg.norm(result.weights) == pytest.approx(1.0, abs=1e-14)
+        assert result.lambda_max == pytest.approx(2.0 * half_width, abs=1e-14)
+        assert result.eigengap < 1e-12
+
+    def test_one_eigensolve_per_design(self, monkeypatch):
+        calls = []
+
+        def counting(matrix, solve=linalg.eigh_symmetric):
+            calls.append(np.shape(matrix))
+            return solve(matrix)
+
+        for module in (concentration, linalg, synthesizers):
+            if hasattr(module, "eigh_symmetric"):
+                monkeypatch.setattr(module, "eigh_symmetric", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for cfg, half_width in ((CFG5, 0.3), (ArrayConfig(8, 1.5), 0.9), (ArrayConfig(5, 1.0), 0.5)):
+                calls.clear()
+                slepian_weights(cfg, half_width)
+                assert calls == [(cfg.elements, cfg.elements)]
 
 
 class TestSteer:
