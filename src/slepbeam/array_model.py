@@ -177,17 +177,26 @@ def _band_entries(cfg: ArrayConfig, a: float, b: float) -> np.ndarray:
     return h
 
 
+def _autocorrelation(w: np.ndarray) -> np.ndarray:
+    """Weight autocorrelation r[i] = sum_m w[m+i] w[m]^*, i = 0..M-1.
+
+    The gain is its trigonometric series in kd*s:
+    |AF|^2 = r[0] + 2 Re sum_{i>0} r[i] exp(-1j*i*kd*s).
+    """
+    w = np.asarray(w, dtype=complex)
+    return np.correlate(w, w, "full")[w.size - 1 :]
+
+
 def band_power(v, cfg: ArrayConfig, a: float, b: float) -> float:
     """Integral of the directivity gain over [a, b], in closed form at any kd.
 
     This is the quadratic form v A v^H of the interval band matrix A, summed
     along its Toeplitz diagonals: sum_i h[i]^* r[i] over the weight
-    autocorrelation r[i] = sum_m v[m+i] v[m]^*, counting i != 0 twice.
+    autocorrelation r (:func:`_autocorrelation`), counting i != 0 twice.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    w = np.asarray(_check_weights(v, cfg), dtype=complex)
-    r = np.correlate(w, w, "full")[cfg.elements - 1 :]
+    r = _autocorrelation(_check_weights(v, cfg))
     terms = (np.conj(_band_entries(cfg, a, b)) * r).real
     return float(terms[0] + 2.0 * terms[1:].sum())
 

@@ -12,12 +12,22 @@ Determinism contract: every random draw comes from a named substream
 ``(seed, role, ...)`` (role 1 = desired signal, role 2 = interferer index).
 Every Monte Carlo estimator goes through one pass, which restarts the
 substreams for each row (or group of rows on one scenario) and draws them
-block by block: the same uniforms as one draw of n, mapped affinely into the
-row's signal band or interference intervals.  Each capacity draw comes from
-the same element-wise operations whatever its block, so results are
-reproducible bit-for-bit for a fixed seed regardless of how many estimators
-run, in which order, or whether a row is evaluated alone or in a table.  The
-draws feed the mean, the outage quantiles and the upper bound.
+block by block: the same uniforms as one draw of n, mapped affinely to
+theta = kd*s in the row's signal band or interference intervals.  Each
+capacity draw comes from the same element-wise operations whatever its
+block, so results are reproducible bit-for-bit for a fixed seed regardless
+of how many estimators run, in which order, or whether a row is evaluated
+alone or in a table.  The draws feed the mean, the outage quantiles and the
+upper bound.
+
+The pass's gain kernel is each taper's weight autocorrelation r summed as
+the cosine series |AF|^2 = r[0] + 2 Re sum_k r[k] exp(-1j*k*theta) by
+Clenshaw's recurrence: one cosine per draw and stream, and a sine only for
+a complex autocorrelation.  Its gains are accurate in absolute terms, to
+about 1e-14 (sum |v|)^2, which is what the capacity draws need; the null
+scan, the lower bound's 1/G probe and the quadrature integrands keep the
+Horner kernel of ``array_model``, which stays accurate relative to the gain
+near nulls.
 
 The approximation and both bounds are formulas over one private record per
 (scenario, taper), ``_Expectations``: the mean gains in and out of band, the
@@ -38,12 +48,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .array_model import (
+    _autocorrelation,
     band_power,
     directivity_gain,
     format_float,
     gain_function,
     pattern_nulls,
-    phasors,
 )
 from .concentration import PhaseRegion, angular_concentration_matrix
 from .linalg import quadratic_form
@@ -79,6 +89,7 @@ _STREAM_SIGNAL = 1
 _STREAM_INTERFERER = 2
 _MIN_SAMPLES = 1000
 _BLOCK = 8192  # draws per block of the Monte Carlo pass
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -204,57 +215,151 @@ def _to_phase(scenario: CapacityScenario, x):
     return math.cos(x) if isinstance(x, float) else np.cos(x)
 
 
-def _signal_phases(scenario: CapacityScenario, u: np.ndarray) -> np.ndarray:
-    a, b = _signal_interval(scenario)
-    return _to_phase(scenario, a + (b - a) * u)
+def _arrivals(scenario: CapacityScenario, intervals, u: np.ndarray, scale: float = 1.0):
+    """Uniforms u on [0, 1), overwritten with scale * phase for arrivals
+    uniform in the scenario's variable over ``intervals`` laid end to end.
+
+    One affine step; with two intervals, the draws past the first interval's
+    length move on by the gap between the intervals (a boolean multiply).  In
+    the angle domain the cosine then takes each angle to its phase.
+    """
+    fold = scale if scenario.domain == PHASE_DOMAIN else 1.0
+    (start, end), *rest = intervals
+    u *= fold * sum(b - a for a, b in intervals)
+    second = u >= fold * (end - start) if rest else None
+    u += fold * start
+    if rest:
+        u += second * (fold * (rest[0][0] - end))
+    if scenario.domain == ANGULAR_DOMAIN:
+        np.cos(u, out=u)
+        u *= scale
+    return u
 
 
-def _interferer_phases(scenario: CapacityScenario, u: np.ndarray) -> np.ndarray:
-    """Uniforms mapped onto the (at most two) interference intervals laid end
-    to end; a comparison picks the interval."""
-    intervals = _interference_intervals(scenario)
-    lengths = [b - a for a, b in intervals]
-    scaled = u * sum(lengths)
-    draws = intervals[0][0] + scaled
-    if len(intervals) == 2:
-        draws = np.where(scaled >= lengths[0], intervals[1][0] + (scaled - lengths[0]), draws)
-    return _to_phase(scenario, draws)
+def _gain_series(v):
+    """The gain of taper v as its autocorrelation's series in theta = kd*s,
+
+        G = r[0] + 2 sum_{k>0} (Re r[k] cos k*theta + Im r[k] sin k*theta),
+
+    returned as (r[0], Re r[1:], Im r[1:] or None).  The sine half is dropped
+    when its coefficients sum below eps * (sum |v|)^2, so dropping moves G by
+    at most twice that; a real taper, alone or times a global phase, lands
+    there (about 0.15 eps (sum |v|)^2 for M up to 256).
+    """
+    w = np.asarray(v, dtype=complex)
+    r = _autocorrelation(w)
+    sine = r[1:].imag
+    if np.abs(sine).sum() <= _EPS * np.abs(w).sum() ** 2:
+        sine = None
+    return float(r[0].real), r[1:].real, sine
+
+
+def _clenshaw(coefficients: np.ndarray, two_cos: np.ndarray):
+    """(b1, b2) of Clenshaw's recurrence b_k = c_k + 2 cos(theta) b_{k+1} - b_{k+2}
+    over c_1..c_N (N >= 1), from which sum_k c_k cos k*theta = cos(theta) b1 - b2
+    and sum_k c_k sin k*theta = sin(theta) b1."""
+    b1 = np.full_like(two_cos, coefficients[-1])
+    b2 = np.zeros_like(two_cos)
+    scratch = np.empty_like(two_cos)
+    for c in coefficients[-2::-1]:
+        np.multiply(two_cos, b1, out=scratch)
+        scratch -= b2
+        scratch += c
+        b1, b2, scratch = scratch, b1, b2
+    return b1, b2
+
+
+def _series_gain(series, two_cos: np.ndarray, sin: np.ndarray | None) -> np.ndarray:
+    """The gain of a :func:`_gain_series` at 2 cos(theta) (and sin(theta)
+    when the series has a sine half), clamped at 0."""
+    r0, cosine, sine = series
+    if not cosine.size:
+        return np.full_like(two_cos, r0)
+    b1, b2 = _clenshaw(cosine, two_cos)
+    gain = two_cos * b1
+    b2 *= 2.0
+    gain -= b2
+    gain += r0
+    if sine is not None:
+        s1 = _clenshaw(sine, two_cos)[0]
+        s1 *= sin
+        s1 *= 2.0
+        gain += s1
+    return np.maximum(gain, 0.0, out=gain)
+
+
+def _basis(theta: np.ndarray, with_sine: bool):
+    """(2 cos(theta), sin(theta) or None), reusing theta's storage for the
+    cosine."""
+    sin = np.sin(theta) if with_sine else None
+    two_cos = np.cos(theta, out=theta)
+    two_cos *= 2.0
+    return two_cos, sin
 
 
 def _mc_pass(scenario, tapers, cfg, n: int, seed: int):
     """Yield (capacity draws, E{1/(N0+I)}) over the n draws for each taper.
 
-    Tapers go in groups of at most M, and each group walks the draws in
-    blocks of ``_BLOCK`` (a lone last draw joins the block before it: numpy
-    rounds complex products of one-element arrays differently).  A block
-    turns its phases into phasors once and evaluates every taper of the group
-    on them; only the (n,) capacity draws of each taper outlive the block.
-    E{1/(N0+I)} is summed per block, which moves it at rounding level.
+    Tapers go in groups of at most M; the pass holds one group's (M, n)
+    draws at a time and releases them before the next group allocates.
+    Each group walks the substreams in blocks of ``_BLOCK`` (a lone last draw
+    joins the block before it, so that no block is a one-element array,
+    which numpy may round differently).  A block maps its uniforms straight
+    to theta = kd*s, takes 2 cos(theta) once per stream (and sin(theta) only
+    when a taper of the group has a complex autocorrelation: steered or
+    complex weights), and sums every taper's gain series on it by Clenshaw's
+    recurrence.  Only the (n,) capacity draws of each taper outlive the
+    block.  E{1/(N0+I)} is summed per block, which moves it at rounding
+    level.
+
+    Accuracy: the gains are accurate in absolute terms, not relative to
+    themselves near nulls.  Against the direct sum |sum_m v_m
+    exp(-1j*m*theta)|^2 the measured error is at most 7.4e-15 (sum |v_m|)^2
+    over M = 1..128 and d = 0.1..1 with real, complex and steered weights
+    (tests allow 1e-13).  That is all the pass needs: gains enter only
+    N0 + sum_i P_i G_i and S G_0 / (N0 + I), with N0 > 0.
     """
     if n < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {n}")
-    active = [(i, p) for i, p in enumerate(scenario.interferer_powers) if p > 0]
     for start in range(0, len(tapers), cfg.elements):
-        group = tapers[start : start + cfg.elements]
-        signal = _rng(seed, _STREAM_SIGNAL)
-        interferers = [(_rng(seed, _STREAM_INTERFERER, i), p) for i, p in active]
-        draws = np.empty((len(group), n))
-        inverse_sums = np.zeros(len(group))
-        for lo in range(0, n - 1, _BLOCK):
-            hi = lo + _BLOCK if n - lo > _BLOCK + 1 else n
-            z0 = phasors(cfg, _signal_phases(scenario, signal.random(hi - lo)))
-            denominator = np.zeros((len(group), hi - lo))
-            for rng, power in interferers:
-                z = phasors(cfg, _interferer_phases(scenario, rng.random(hi - lo)))
-                for total, v in zip(denominator, group):
-                    total += power * directivity_gain(v, cfg, z)
-            denominator += scenario.noise_power
-            inverse_sums += np.sum(1.0 / denominator, axis=1)
-            for row, v, noise_plus_interference in zip(draws, group, denominator):
-                sinr = scenario.signal_power * directivity_gain(v, cfg, z0)
-                sinr /= noise_plus_interference
-                np.log2(1.0 + sinr, out=row[lo:hi])
-        yield from zip(draws, (inverse_sums / n).tolist())
+        yield from _pass_group(scenario, tapers[start : start + cfg.elements], cfg, n, seed)
+
+
+def _pass_group(scenario, group, cfg, n: int, seed: int):
+    """One group of :func:`_mc_pass`, a generator of its own so that its
+    frame, and with it the group's draws, is gone once its last row is taken."""
+    series = [_gain_series(v) for v in group]
+    with_sine = any(sine is not None for _, _, sine in series)
+    signal_interval, interference = [_signal_interval(scenario)], _interference_intervals(scenario)
+    signal = _rng(seed, _STREAM_SIGNAL)
+    interferers = [
+        (_rng(seed, _STREAM_INTERFERER, i), p)
+        for i, p in enumerate(scenario.interferer_powers)
+        if p > 0
+    ]
+    draws = np.empty((len(group), n))
+    inverse_sums = np.zeros(len(group))
+    for lo in range(0, n - 1, _BLOCK):
+        hi = lo + _BLOCK if n - lo > _BLOCK + 1 else n
+        theta0 = _arrivals(scenario, signal_interval, signal.random(hi - lo), cfg.kd)
+        signal_basis = _basis(theta0, with_sine)
+        denominator = np.zeros((len(group), hi - lo))
+        for rng, power in interferers:
+            theta = _arrivals(scenario, interference, rng.random(hi - lo), cfg.kd)
+            basis = _basis(theta, with_sine)
+            for total, terms in zip(denominator, series):
+                gain = _series_gain(terms, *basis)
+                gain *= power
+                total += gain
+        denominator += scenario.noise_power
+        inverse_sums += np.sum(1.0 / denominator, axis=1)
+        for row, terms, noise_plus_interference in zip(draws, series, denominator):
+            sinr = _series_gain(terms, *signal_basis)
+            sinr *= scenario.signal_power
+            sinr /= noise_plus_interference
+            sinr += 1.0
+            np.log2(sinr, out=row[lo:hi])
+    yield from zip(draws, (inverse_sums / n).tolist())
 
 
 def capacity_sample(scenario, v, cfg, s0: float, s_interferers: Sequence[float] = ()) -> float:
@@ -562,7 +667,7 @@ def compare_synthesizers(
     bit-identical to :func:`estimate_capacity` alone and rows over the same
     region share arrival draws: differences come from the patterns rather
     than sampling noise.  The baselines share one scenario and go through the
-    Monte Carlo pass in groups of M on shared phasors.
+    Monte Carlo pass in groups of M on shared cosines.
     """
     center = scenario.signal_region.center
     sweep = []  # every design is checked before the first Monte Carlo pass
@@ -571,19 +676,21 @@ def compare_synthesizers(
         design = slepian_weights(cfg, w)
         sweep.append((w, scen, steer(design, center) if center != 0.0 else design.weights))
     rows: list[ComparisonRow] = []
+    # draws go straight from next() into their estimate, and a pass starts
+    # only on next(), after the previous pass is dropped: one pass's (or
+    # group's) draws are alive at a time
     for w, scen, weights in sweep:
-        gains = next(_mc_pass(scen, [weights], cfg, n_samples, seed))
-        est = estimate_capacity(scen, weights, cfg, n_samples, seed, _gains=gains)
+        width_pass = _mc_pass(scen, [weights], cfg, n_samples, seed)
+        est = estimate_capacity(scen, weights, cfg, n_samples, seed, _gains=next(width_pass))
         rows.append(_row("slepian", w, est))
     m = cfg.elements
     baselines = [("dft", None, dft_weights(m)), ("binomial", None, binomial_weights(m))] + [
         ("chebyshev", float(att), chebyshev_weights(m, float(att)))
         for att in chebyshev_attenuations_db
     ]
-    tapers = [weights for _, _, weights in baselines]
-    batch = _mc_pass(scenario, tapers, cfg, n_samples, seed)
-    for (name, param, weights), gains in zip(baselines, batch):
-        est = estimate_capacity(scenario, weights, cfg, n_samples, seed, _gains=gains)
+    batch = _mc_pass(scenario, [weights for _, _, weights in baselines], cfg, n_samples, seed)
+    for name, param, weights in baselines:
+        est = estimate_capacity(scenario, weights, cfg, n_samples, seed, _gains=next(batch))
         rows.append(_row(name, param, est))
     return rows
 

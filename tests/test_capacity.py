@@ -23,10 +23,14 @@ from slepbeam.capacity import (
     write_comparison_csv,
     _BLOCK,
     _Expectations,
-    _interferer_phases,
+    _arrivals,
+    _basis,
+    _gain_series,
+    _interference_intervals,
     _mc_pass,
     _rng,
-    _signal_phases,
+    _series_gain,
+    _signal_interval,
 )
 from slepbeam.concentration import PhaseRegion
 from slepbeam.quadrature import adaptive_simpson
@@ -139,12 +143,21 @@ class TestCapacitySample:
             capacity_sample(FIG9, dft_weights(5), CFG5, 0.0, [0.5])
 
 
-def _signal_draws(scenario, n, seed):
-    return _signal_phases(scenario, _rng(seed, 1).random(n))
+def _signal_draws(scenario, n, seed, scale=1.0):
+    """scale * phase of the first n signal arrivals, as the pass maps them."""
+    return _arrivals(scenario, [_signal_interval(scenario)], _rng(seed, 1).random(n), scale)
 
 
-def _interferer_draws(scenario, index, n, seed):
-    return _interferer_phases(scenario, _rng(seed, 2, index).random(n))
+def _interferer_draws(scenario, index, n, seed, scale=1.0):
+    """scale * phase of interferer ``index``'s first n arrivals."""
+    u = _rng(seed, 2, index).random(n)
+    return _arrivals(scenario, _interference_intervals(scenario), u, scale)
+
+
+def _pass_gain(v, theta):
+    """The Monte Carlo pass's gain of taper v at theta = kd*s (overwritten)."""
+    series = _gain_series(v)
+    return _series_gain(series, *_basis(theta, series[2] is not None))
 
 
 class TestSampling:
@@ -173,7 +186,8 @@ class TestSampling:
     @pytest.mark.parametrize("domain, center", [("phase", 0.0), ("angular", 0.0), ("phase", 0.5)])
     def test_union_map_matches_search_over_interval_offsets(self, domain, center):
         """The comparison that picks an interference interval reproduces the
-        search over cumulative interval lengths bit for bit."""
+        search over cumulative interval lengths bit for bit: the draws of the
+        second interval are the affine map's plus the gap between the two."""
         scenario = replace(FIG9, signal_region=PhaseRegion(0.2, center=center), domain=domain)
         lo, hi = scenario.signal_region.bounds
         if domain == "phase":
@@ -184,10 +198,11 @@ class TestSampling:
         offsets = np.concatenate([[0.0], np.cumsum([b - a for a, b in intervals])])
         scaled = u * offsets[-1]
         idx = np.clip(np.searchsorted(offsets, scaled, side="right") - 1, 0, 1)
-        expected = np.array([a for a, _ in intervals])[idx] + (scaled - offsets[idx])
+        expected = scaled + intervals[0][0] + idx * (intervals[1][0] - intervals[0][1])
         if domain == "angular":
             expected = np.cos(expected)
-        np.testing.assert_array_equal(_interferer_phases(scenario, u), expected)
+        got = _arrivals(scenario, _interference_intervals(scenario), u.copy())
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestMeanCapacity:
@@ -279,9 +294,9 @@ class TestUpperBound:
         v = slepian_weights(CFG5, 0.2).weights
         quad = _Expectations(scenario, v, CFG5).inverse_noise
         draws, mc_inverse = next(_mc_pass(scenario, [v], CFG5, 100_000, 13))
-        gain0 = directivity_gain(v, CFG5, _signal_draws(scenario, 100_000, 13))
-        noise_plus_interference = 0.1 + 0.6 * directivity_gain(
-            v, CFG5, _interferer_draws(scenario, 0, 100_000, 13)
+        gain0 = _pass_gain(v, _signal_draws(scenario, 100_000, 13, CFG5.kd))
+        noise_plus_interference = 0.1 + 0.6 * _pass_gain(
+            v, _interferer_draws(scenario, 0, 100_000, 13, CFG5.kd)
         )
         np.testing.assert_array_equal(draws, np.log2(1.0 + 1.0 * gain0 / noise_plus_interference))
         inverse = 1.0 / noise_plus_interference
@@ -569,14 +584,15 @@ class TestExpectationRecord:
 
 
 def _unblocked(scenario, v, cfg, n, seed):
-    """Capacity draws and E{1/(N0+I)} in one shot over the whole substreams:
-    (seed, 1) for the signal and (seed, 2, i) for interferer i."""
-    gain0 = directivity_gain(v, cfg, _signal_draws(scenario, n, seed))
+    """Capacity draws and E{1/(N0+I)} by the pass's per-element route in one
+    shot over the whole substreams: (seed, 1) for the signal and (seed, 2, i)
+    for interferer i."""
+    gain0 = _pass_gain(v, _signal_draws(scenario, n, seed, cfg.kd))
     interference = np.zeros(n)
     for i, power in enumerate(scenario.interferer_powers):
         if power > 0:
-            phases = _interferer_draws(scenario, i, n, seed)
-            interference += power * directivity_gain(v, cfg, phases)
+            theta = _interferer_draws(scenario, i, n, seed, cfg.kd)
+            interference += power * _pass_gain(v, theta)
     denominator = scenario.noise_power + interference
     draws = np.log2(1.0 + scenario.signal_power * gain0 / denominator)
     return draws, float(np.mean(1.0 / denominator))
@@ -593,7 +609,8 @@ class TestBlockedPass:
         1 ulp over 20 seeds of these cases and of n = 100k; 4 ulps allowed.
         """
         scenario = replace(FIG9, domain=domain)
-        tapers = [slepian_weights(CFG5, 0.2).weights, dft_weights(5), binomial_weights(5)]
+        design = slepian_weights(CFG5, 0.2)
+        tapers = [design.weights, dft_weights(5), binomial_weights(5), steer(design, 0.3)]
         for v, (draws, inverse) in zip(tapers, _mc_pass(scenario, tapers, CFG5, n, 21)):
             want, want_inverse = _unblocked(scenario, v, CFG5, n, 21)
             np.testing.assert_array_equal(draws, want)
@@ -619,6 +636,75 @@ class TestBlockedPass:
             np.testing.assert_array_equal(draws, _unblocked(FIG9, v, cfg, 2 * _BLOCK, 4)[0])
 
 
+class TestGainSeries:
+    """The pass's kernel: the autocorrelation's cosine series by Clenshaw,
+    accurate to rounding of (sum |v|)^2 in absolute terms."""
+
+    @staticmethod
+    def tapers(cfg, rng):
+        m = cfg.elements
+        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        real = rng.standard_normal(m)
+        return {
+            "real": real / np.linalg.norm(real),
+            "complex": z / np.linalg.norm(z),
+            "steered": z / np.linalg.norm(z) * np.exp(1j * cfg.kd * 0.3 * np.arange(m)),
+        }
+
+    @pytest.mark.parametrize("elements", [1, 2, 5, 16, 64, 128])
+    @pytest.mark.parametrize("spacing", [0.1, 0.35, 0.5, 1.0])
+    def test_matches_direct_sum(self, elements, spacing):
+        cfg = ArrayConfig(elements, spacing)
+        rng = np.random.default_rng(elements * 100 + int(spacing * 100))
+        s = np.concatenate([rng.uniform(-1.0, 1.0, 500), [-1.0, 0.0, 0.3, 1.0]])
+        theta = cfg.kd * s
+        for kind, v in self.tapers(cfg, rng).items():
+            direct = np.abs(np.exp(-1j * np.outer(theta, np.arange(elements))) @ v) ** 2
+            scale = np.sum(np.abs(v)) ** 2
+            gain = _pass_gain(v, theta.copy())
+            assert np.max(np.abs(gain - direct)) <= 1e-13 * scale, kind
+
+    @pytest.mark.parametrize("elements", [2, 5, 16, 64])
+    def test_gain_is_nonnegative_at_exact_nulls(self, elements):
+        """The DFT and binomial patterns vanish exactly at known phases; the
+        kernel's rounding there is clamped at 0, never negative."""
+        k = np.arange(-4 * elements, 4 * elements + 1)
+        theta = np.concatenate([2.0 * np.pi * k / elements, np.pi + 1e-9 * k])
+        for v in (dft_weights(elements), binomial_weights(elements)):
+            series = _gain_series(v)
+            gain = _series_gain(series, *_basis(theta.copy(), series[2] is not None))
+            assert np.all(gain >= 0.0)
+            assert np.min(gain) <= 1e-13 * np.sum(np.abs(v)) ** 2
+
+    @pytest.mark.parametrize("elements", [2, 5, 16, 64, 128])
+    def test_sine_only_for_a_complex_autocorrelation(self, elements, monkeypatch):
+        """A real taper times a global phase stays on the cosine-only branch,
+        so the pass takes no sine; a steered taper needs it."""
+        rng = np.random.default_rng(elements)
+        real = slepian_weights(ArrayConfig(elements, 0.5), 0.2).weights
+        phased = real * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        steered = real * np.exp(1j * 0.9 * np.arange(elements))
+        assert _gain_series(real)[2] is None and _gain_series(phased)[2] is None
+        assert _gain_series(steered)[2] is not None
+        cfg = ArrayConfig(elements, 0.5)
+        calls = []
+        original = np.sin
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].size)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(capacity_module.np, "sin", counted)
+        next(_mc_pass(FIG9, [phased], cfg, 2_000, 8))
+        assert calls == []
+        next(_mc_pass(FIG9, [steered], cfg, 2_000, 8))
+        assert calls
+        theta = np.linspace(-np.pi, np.pi, 1001)
+        direct = np.abs(np.exp(-1j * np.outer(theta, np.arange(elements))) @ phased) ** 2
+        error = np.max(np.abs(_pass_gain(phased, theta.copy()) - direct))
+        assert error <= 1e-13 * np.sum(np.abs(phased)) ** 2
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -631,7 +717,8 @@ def _traced_peak(fn) -> int:
 class TestMonteCarloMemory:
     """Only the (n,) capacity draws of the tapers in flight grow with n: 16
     bytes a sample for one estimate (the draws and the variance's temporary)
-    and about 8 (M + 2) for a table, whose baselines go in groups of M."""
+    and about 8 (M + 1) for a table, whose baselines go in groups of M, one
+    group at a time."""
 
     N = 200_000
 
@@ -642,6 +729,15 @@ class TestMonteCarloMemory:
 
     def test_compare_synthesizers(self):
         grids = ([0.1, 0.2], [20.0, 30.0, 40.0, 50.0])
+        compare_synthesizers(CFG5, FIG9, *grids, 2_000, 3)
+        peak = _traced_peak(lambda: compare_synthesizers(CFG5, FIG9, *grids, self.N, 3))
+        assert peak <= 8 * (CFG5.elements + 4) * self.N
+
+    def test_one_baseline_group_in_memory_at_a_time(self):
+        """Two full groups of M=5 baselines (DFT, binomial and 8 Chebyshev
+        tapers): the first group's draws are released before the second
+        group's are allocated."""
+        grids = ([0.1], [20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0])
         compare_synthesizers(CFG5, FIG9, *grids, 2_000, 3)
         peak = _traced_peak(lambda: compare_synthesizers(CFG5, FIG9, *grids, self.N, 3))
         assert peak <= 8 * (CFG5.elements + 4) * self.N

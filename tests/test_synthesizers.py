@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from slepbeam import concentration, linalg, synthesizers
-from slepbeam.array_model import ArrayConfig, array_factor, band_power
+from slepbeam.array_model import ArrayConfig, _band_entries, array_factor, band_power
 from slepbeam.concentration import PhaseRegion, concentration_matrix, interval_concentration_matrix
 from slepbeam.linalg import _fix_signs, quadratic_form
 from slepbeam.synthesizers import (
@@ -267,6 +267,22 @@ class TestSteer:
         result = slepian_weights_general(CFG5, PhaseRegion(half_width=0.2, center=0.3))
         with pytest.raises(SteeringLimitError, match="broadside"):
             steer(result, 0.1)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("elements, spacing, half_width", SLEPIAN_DESIGNS)
+def test_band_power_bitwise_through_shared_autocorrelation(elements, spacing, half_width):
+    """band_power gives, bit for bit, its inline correlation sum on the
+    golden designs, broadside and steered, since the Monte Carlo pass
+    shares its autocorrelation helper."""
+    cfg = ArrayConfig(elements, spacing)
+    result = slepian_weights(cfg, half_width)
+    for v in (result.weights, steer(result, 0.3)):
+        w = np.asarray(v, dtype=complex)
+        r = np.correlate(w, w, "full")[elements - 1 :]
+        for a, b in ((-half_width, half_width), (-1.0, 1.0), (0.1, 0.7)):
+            terms = (np.conj(_band_entries(cfg, a, b)) * r).real
+            assert band_power(v, cfg, a, b) == float(terms[0] + 2.0 * terms[1:].sum())
 
 
 class TestSlepianGeneral:
